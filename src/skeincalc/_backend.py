@@ -1,7 +1,6 @@
 """Kernel selection: compiled extension when available, Python fallback else.
 
-Set SKEINCALC_PURE=1 to force the fallback (the benchmark uses this to time
-both implementations in separate processes).
+Set SKEINCALC_PURE=1 to force the fallback.
 """
 
 import os

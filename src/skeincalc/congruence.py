@@ -11,7 +11,7 @@ import itertools
 from functools import lru_cache
 
 from .cyclotomic import CycInt, CycNum, ResidueClass, from_int, mod_p, ring_modulus
-from .errors import TooLargeError
+from .errors import InconsistencyError, TooLargeError
 from .skein import kappa
 
 ORBIT_TERM_CAP = 10 ** 7
@@ -46,7 +46,8 @@ def kappa_order(p: int) -> int:
     while power != 1:
         power = power * k
         order += 1
-        assert order <= 4 * p, "kappa order exceeded the root-of-unity bound"
+        if order > 4 * p:
+            raise InconsistencyError("kappa order exceeded the root-of-unity bound")
     return order
 
 

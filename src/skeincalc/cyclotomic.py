@@ -21,6 +21,7 @@ from functools import lru_cache
 from ._backend import mul_reduce
 from .errors import (
     ExactDivisionError,
+    InconsistencyError,
     InvalidPrimeError,
     ModulusMismatchError,
     NonIntegralError,
@@ -95,7 +96,8 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     for d in range(1, N):
         if N % d == 0:
             poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not any(rem)
+            if any(rem):
+                raise InconsistencyError(f"Phi_{d} does not divide x^{N} - 1")
     return tuple(poly)
 
 

@@ -7,8 +7,10 @@ of Hopf-fiber brackets H_n: a 0-framed component decorated with x equals a
 +1-framed one decorated with twist(x, -1), after which every z-power cable
 of every component is a family of +1-framed mutually +1-linked fibers.
 
-The inner sum over the p cable components collapses by multinomial counting
-over coefficient multiplicities, C(p + d, d) terms instead of (d+1)^p.
+By the multinomial theorem the p identically decorated cable strands
+contribute cable**p, computed by repeated squaring in the skein, so the
+bracket is one linear functional z^n -> H_n applied to a single polynomial,
+with one exact division by A^2 - A^-2 per bracket.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 from functools import lru_cache
 
 from . import intlinalg
-from .cyclotomic import CycNum, from_int, ring_modulus, valuation
+from .cyclotomic import CycNum, divide_exact, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
-from .skein import SkeinElem, eta, eta_squared, hopf_bracket, omega, twist
+from .skein import A_power, SkeinElem, _hopf_numerator, eta, eta_squared, omega, twist
 
 
 class HopfSatellite:
@@ -39,65 +41,24 @@ class HopfSatellite:
                 f"zero_decor={self.zero_decor!r})")
 
 
-def _compositions(total: int, parts: int):
-    """Nonnegative integer vectors of the given length summing to total,
-    in lexicographic order (deterministic summation order)."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(counts) -> int:
-    total, out = 0, 1
-    for c in counts:
-        total += c
-        out *= math.comb(total, c)
-    return out
-
-
 def bracket_satellite(sat: HopfSatellite) -> CycNum:
     """Bracket of the decorated satellite as a Hopf-fiber expansion.
 
-    sum over m of c_m(twist(zero_decor, -1)) * sum over multiplicity vectors
-    (n_0..n_d) of p of multinomial * prod c_t(cable)^n_t * H(m + sum t*n_t).
+    The linear functional L: z^n -> H_n applied to
+    twist(zero_decor, -1) * cable_decor**p.  Since H_n = S_n / (A^2 - A^-2)
+    for n >= 1, the coefficients c_n are brought to one denominator p**k and
+    the sum of c_n S_n is divided once: L = c_0 + (sum c_n S_n) / (A^2 - A^-2).
     """
     p = sat.p
-    zero_c = CycNum(from_int(ring_modulus(p), 0), p, 0)
-    tz = twist(sat.zero_decor, -1)
-    cable = sat.cable_decor.coeffs
-    if tz.is_zero or not cable:
-        return zero_c
-    d = len(cable) - 1
-    # powers of each cable coefficient up to p
-    pows = []
-    for c in cable:
-        row = [CycNum(from_int(ring_modulus(p), 1), p, 0)]
-        for _ in range(p):
-            row.append(row[-1] * c)
-        pows.append(row)
-    # weight[s] collects all cable terms whose z-degrees sum to s
-    weight: dict[int, CycNum] = {}
-    for counts in _compositions(p, d + 1):
-        term = from_int(ring_modulus(p), _multinomial(counts))
-        term = CycNum(term, p, 0)
-        s = 0
-        for t, n_t in enumerate(counts):
-            if n_t:
-                term = term * pows[t][n_t]
-                s += t * n_t
-        weight[s] = weight.get(s, zero_c) + term
-    total = zero_c
-    for m, cm in enumerate(tz.coeffs):
-        if cm.is_zero:
-            continue
-        for s in sorted(weight):
-            ws = weight[s]
-            if not ws.is_zero:
-                total = total + cm * ws * hopf_bracket(p, m + s)
-    return total
+    poly = twist(sat.zero_decor, -1) * sat.cable_decor ** p
+    rest = poly.coeffs[1:]
+    k = max((c.k for c in rest), default=0)
+    total = from_int(ring_modulus(p), 0)
+    for n, c in enumerate(rest, 1):
+        if not c.is_zero:
+            total = total + c.num * p ** (k - c.k) * _hopf_numerator(p, n)
+    q = divide_exact(total, A_power(p, 2) - A_power(p, -2))
+    return CycNum(q, p, k) + poly.coefficient(0)
 
 
 def cover_invariant(p: int) -> CycNum:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import intlinalg
-from .errors import CharacterDomainError
+from .errors import CharacterDomainError, InconsistencyError
 from .cyclotomic import is_prime
 
 
@@ -295,13 +295,16 @@ def scc_curves(h: Homology1, chi: Character) -> list[SccCurve]:
             continue
         q = p ** s.exponent
         # c = u * p^(t-1) with u a unit: chi on this summand has order p
-        assert c % (q // p) == 0, "dual of a Z_p character must have order dividing p"
+        if c % (q // p):
+            raise InconsistencyError("dual of a Z_p character must have order dividing p")
         u = c // (q // p)
-        assert u % p, "dual projection of a nonzero value must be nonzero mod p"
+        if u % p == 0:
+            raise InconsistencyError("dual projection of a nonzero value must be nonzero mod p")
         x = pow(s.unit * u, -1, p)
         elem = _embedded(h.form, i, x)
         value = pair(h.form, dual, elem)
-        assert value == Fraction(1, p)
+        if value != Fraction(1, p):
+            raise InconsistencyError(f"scc curve pairs to {value}, not 1/{p}")
         out.append(SccCurve(i, elem, value))
     return out
 
@@ -333,12 +336,14 @@ def scc2_curves(h: Homology1, chi: Character) -> list[Scc2Curve]:
         q = p ** s.exponent
         order = q // _gcd(c, q)
         # chi restricted to the summand has the order of the dual projection
-        assert order in (p, p * p)
+        if order not in (p, p * p):
+            raise InconsistencyError(f"dual projection has order {order}, not p or p^2")
         u = c // (q // order)
         x = pow(s.unit * u, -1, order)
         elem = _embedded(h.form, i, x)
         value = pair(h.form, dual, elem)
-        assert value == Fraction(1, order)
+        if value != Fraction(1, order):
+            raise InconsistencyError(f"scc2 curve pairs to {value}, not 1/{order}")
         out.append(Scc2Curve(i, elem, 1 if order == p * p else p))
     return out
 

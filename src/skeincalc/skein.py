@@ -41,13 +41,22 @@ def delta(p: int) -> CycInt:
     return -(A_power(p, 2) + A_power(p, -2))
 
 
+def _A_sum(p: int, terms) -> CycInt:
+    """Sum of c * A**e over the (e, c) pairs, reduced modulo Phi_N once."""
+    N = ring_modulus(p)
+    step = N // (2 * p)
+    coeffs = [0] * N
+    for e, c in terms:
+        coeffs[e * step % N] += c
+    return CycInt.from_poly(N, coeffs)
+
+
 @lru_cache(maxsize=None)
 def quantum_int(p: int, k: int) -> CycInt:
-    """[k] = (A^2k - A^-2k) / (A^2 - A^-2), exactly."""
+    """[k] = (A^2k - A^-2k) / (A^2 - A^-2) = sum over i < k of A^(2(k-1-2i))."""
     if k < 1:
         raise ValueError("quantum integers are defined for k >= 1")
-    num = A_power(p, 2 * k) - A_power(p, -2 * k)
-    return divide_exact(num, A_power(p, 2) - A_power(p, -2))
+    return _A_sum(p, ((2 * (k - 1 - 2 * i), 1) for i in range(k)))
 
 
 def _as_cycnum(p: int, value) -> CycNum:
@@ -148,6 +157,18 @@ class SkeinElem:
         return SkeinElem(self.p, out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative powers of skein elements are not defined")
+        result, base = SkeinElem(self.p, [1]), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -262,6 +283,20 @@ def twist(x: SkeinElem, e: int) -> SkeinElem:
 
 
 @lru_cache(maxsize=None)
+def _hopf_numerator(p: int, n: int) -> CycInt:
+    """S_n = (A^2 - A^-2) H_n for n >= 1: the closed binomial sum
+
+    sum over r < n of C(n-1, r) A^(s^2-1) (A^2s - A^-2s), s = n - 2r + 1,
+    whose terms are the single powers A^((s+1)^2-2) and A^((s-1)^2-2).
+    """
+    terms = []
+    for r in range(n):
+        s, c = n - 2 * r + 1, math.comb(n - 1, r)
+        terms += [((s + 1) ** 2 - 2, c), ((s - 1) ** 2 - 2, -c)]
+    return _A_sum(p, terms)
+
+
+@lru_cache(maxsize=None)
 def hopf_bracket(p: int, n: int) -> CycInt:
     """Bracket H_n of n Hopf fibers, all framings +1 and pairwise linking +1.
 
@@ -270,15 +305,9 @@ def hopf_bracket(p: int, n: int) -> CycInt:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    N = ring_modulus(p)
     if n == 0:
-        return from_int(N, 1)
-    total = from_int(N, 0)
-    for r in range(n):
-        s = n - 2 * r + 1
-        term = A_power(p, s * s - 1) * (A_power(p, 2 * s) - A_power(p, -2 * s))
-        total = total + term * math.comb(n - 1, r)
-    return divide_exact(total, A_power(p, 2) - A_power(p, -2))
+        return from_int(ring_modulus(p), 1)
+    return divide_exact(_hopf_numerator(p, n), A_power(p, 2) - A_power(p, -2))
 
 
 _ETA_EXACT = {

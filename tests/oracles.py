@@ -2,8 +2,8 @@
 
 These deliberately avoid the production code paths they check: the Hopf
 bracket oracle resolves an explicit diagram crossing by crossing, and the
-satellite oracle expands over all coefficient tuples instead of collapsing
-multiplicities.
+satellite oracle expands over all coefficient tuples instead of powering
+the cable decoration.
 """
 
 from __future__ import annotations

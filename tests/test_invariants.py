@@ -1,10 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
-from skeincalc.cyclotomic import CycInt, CycNum, mod_p, valuation
-from skeincalc.errors import UnsupportedPrimeError
+from skeincalc import invariants
+from skeincalc.congruence import cm_bound
+from skeincalc.cyclotomic import CycInt, CycNum, from_int, mod_p, ring_modulus, valuation
+from skeincalc.errors import ExactDivisionError, UnsupportedPrimeError
 from skeincalc.invariants import (
     AbelianGroup,
     HopfSatellite,
@@ -16,7 +19,7 @@ from skeincalc.invariants import (
 )
 from skeincalc.skein import A_power, SkeinElem, delta, hopf_bracket, omega
 
-from oracles import random_skein, satellite_direct
+from oracles import random_cycint, random_skein, satellite_direct
 
 # the published p=5 value and the forced p=7 value (see README notes)
 VALUE_P5 = CycInt(20, [0, -2, 0, 4, 0, -1, 0, -2])
@@ -69,6 +72,25 @@ def test_bracket_matches_direct_expansion():
     # the production decorations at p=7
     assert bracket_satellite(HopfSatellite(7, omega(7), omega(7))) == \
         satellite_direct(7, [omega(7)] * 7, omega(7))
+    # decorations with p-power denominators exercise the common denominator
+    # taken before the single exact division
+    for p in (5, 7):
+        N = ring_modulus(p)
+        cable = SkeinElem(p, [CycNum(random_cycint(rng, N, -4, 4), p, rng.randint(0, 2))
+                              for _ in range(2)])
+        ring = SkeinElem(p, [CycNum(random_cycint(rng, N, -4, 4), p, j) for j in (2, 0, 1)])
+        value = bracket_satellite(HopfSatellite(p, cable, ring))
+        assert value == satellite_direct(p, [cable] * p, ring)
+        assert value.k > 0
+
+
+def test_bracket_keeps_its_exact_division_check(monkeypatch):
+    # a numerator sum outside the ideal (A^2 - A^-2) must still be refused
+    monkeypatch.setattr(invariants, "_hopf_numerator",
+                        lambda p, n: from_int(ring_modulus(p), 1))
+    z = SkeinElem(5, [0, 1])
+    with pytest.raises(ExactDivisionError):
+        bracket_satellite(HopfSatellite(5, z, SkeinElem(5, [1])))
 
 
 def test_bracket_linear_in_ring_decoration():
@@ -184,7 +206,7 @@ def test_abelian_group_str_and_validation():
 
 def test_bracket_collapse_at_large_p_against_direct():
     # degree-1 decorations keep the direct expansion tractable (2^11 tuples)
-    # while still exercising the big-p composition enumeration
+    # while still exercising the cable power at a large p
     rng = random.Random(23)
     p = 11
     cable = random_skein(rng, p, max_degree=1)
@@ -200,3 +222,13 @@ def test_valuation_beyond_the_tabulated_primes():
     assert v >= 15  # quadratic bound
     assert v >= 12  # p*O_p membership
     assert v == 55
+    # p = 17 equals (p-2)(p-3)/2; the bracket it rests on is identical to
+    # the one the composition-enumerating multinomial sum gave (165 s on a
+    # 2-CPU machine, against 1-2 s for the cable**p form)
+    cover_invariant_valuation.cache_clear()
+    t0 = time.perf_counter()
+    v = cover_invariant_valuation(17)
+    elapsed = time.perf_counter() - t0
+    assert v == 105
+    assert v >= cm_bound(17)
+    assert elapsed < 20.0

@@ -176,3 +176,16 @@ def test_skein_json_round_trip():
     assert SkeinElem.from_json(x.to_json()) == x
     data = x.to_json()
     assert data.keys() == {"p", "coeffs"}
+
+
+def test_skein_power_is_repeated_product():
+    rng = random.Random(31)
+    for p in (5, 7):
+        x = random_skein(rng, p, max_degree=2)
+        assert x ** 0 == SkeinElem(p, [1])
+        acc = SkeinElem(p, [1])
+        for e in range(1, 8):
+            acc = acc * x
+            assert x ** e == acc
+    with pytest.raises(ValueError):
+        SkeinElem(5, [0, 1]) ** -1
