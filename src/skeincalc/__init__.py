@@ -1,11 +1,12 @@
 """Exact SO(3) quantum-invariant calculator for surgered cyclic covers,
 with cyclotomic residue tests and linking-form algebra.
 
-The compiled coefficient kernel is optional; skeincalc._backend.BACKEND
-reports which implementation is active.
+All arithmetic is pure Python over exact integers.  Ring products go
+through one coefficient kernel, cyclotomic.mul_reduce; exact division,
+inversion up to a power of p and the (1 - zeta_p)-adic valuation reduce to
+ring products through the Galois norm and the (1 - zeta_p) cofactor.
 """
 
-from ._backend import BACKEND
 from .cyclotomic import (
     CycInt,
     CycNum,
@@ -64,7 +65,6 @@ from .linkform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CycInt", "CycNum", "ResidueClass", "divide_exact", "invert_p_power",
     "mod_p", "ring_modulus", "root", "valuation",
     "SkeinElem", "chebyshev_e", "delta", "eta", "eta_squared", "hopf_bracket",

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
-from ._backend import mul_reduce
 from .errors import (
     ExactDivisionError,
     InconsistencyError,
@@ -116,6 +114,31 @@ def _reduction_table(N: int) -> tuple[tuple[int, ...], ...]:
                 row[i] += lead * t
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def mul_reduce(a, b, table):
+    """Product of two power-basis vectors, reduced into the basis.
+
+    ``a`` and ``b`` are equal-length sequences of ints.  ``table[k]`` holds
+    the power-basis coefficients of x**(phi + k) modulo the cyclotomic
+    polynomial, so the tail of the convolution folds back without any
+    polynomial division.  Returns a list of length ``len(a)``.
+    """
+    phi = len(a)
+    c = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    c[i + j] += ai * bj
+    out = c[:phi]
+    for k in range(phi, 2 * phi - 1):
+        ck = c[k]
+        if ck:
+            for i, ri in enumerate(table[k - phi]):
+                if ri:
+                    out[i] += ck * ri
+    return out
 
 
 def format_poly(coeffs, symbol: str) -> str:
@@ -267,39 +290,31 @@ def root(N: int, j: int) -> CycInt:
     return CycInt.from_poly(N, [0] * j + [1])
 
 
-def _solve_rational(matrix, rhs):
-    """Solve a square integer system exactly over Q; None when singular."""
-    n = len(matrix)
-    A = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [a / pv for a in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]
+def _adjugate(y: CycInt) -> tuple[CycInt, int]:
+    """adj = product of sigma_a(y) over a in (Z/N)^*, a != 1, and the norm n.
 
-
-def _shift_by_root(coeffs: list, table) -> list:
-    """Multiply a power-basis vector by zeta (degree shift plus one reduction)."""
-    lead = coeffs[-1]
-    out = [0] + list(coeffs[:-1])
-    if lead:
-        for i, t in enumerate(table[0]):
-            out[i] += lead * t
-    return out
+    sigma_a sends zeta to zeta**a.  y * adj is the Galois norm of y, a
+    rational integer n, nonzero when y is.
+    """
+    N = y.modulus
+    adj = one(N)
+    for a in range(2, N):
+        if math.gcd(a, N) == 1:
+            image = [0] * N
+            for i, c in enumerate(y.coeffs):
+                image[a * i % N] += c
+            adj = adj * CycInt.from_poly(N, image)
+    n, *rest = (y * adj).coeffs
+    if any(rest):
+        raise InconsistencyError(f"the norm of ({y}) is not a rational integer")
+    return adj, n
 
 
 def divide_exact(x: CycInt, y: CycInt) -> CycInt:
     """The q with q*y = x, or ExactDivisionError when x is not in (y).
 
-    Solves the integer linear system given by the multiplication-by-y matrix
-    in the power basis; Z[zeta_N] is a domain so q is unique when it exists.
+    q = x * adj / n with adj, n from _adjugate(y); since the power basis is a
+    Z-basis of Z[zeta_N], q is integral iff n divides every coefficient.
     """
     if x.modulus != y.modulus:
         raise ModulusMismatchError("operands live in different rings")
@@ -307,20 +322,11 @@ def divide_exact(x: CycInt, y: CycInt) -> CycInt:
         raise ZeroDivisionError("division by zero in Z[zeta_N]")
     if x.is_zero:
         return zero(x.modulus)
-    N = x.modulus
-    phi = euler_phi(N)
-    table = _reduction_table(N)
-    col = list(y.coeffs)
-    cols = [col]
-    for _ in range(phi - 1):
-        col = _shift_by_root(col, table)
-        cols.append(col)
-    sol = _solve_rational([[cols[j][i] for j in range(phi)] for i in range(phi)], x.coeffs)
-    if sol is None:
-        raise ExactDivisionError("multiplication matrix is singular")
-    if any(f.denominator != 1 for f in sol):
+    adj, n = _adjugate(y)
+    q = (x * adj).coeffs
+    if any(c % n for c in q):
         raise ExactDivisionError(f"({x}) is not divisible by ({y})")
-    return CycInt(N, [int(f) for f in sol])
+    return CycInt(x.modulus, [c // n for c in q])
 
 
 class CycNum:
@@ -363,10 +369,12 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = max(self.k, o.k)
-        a = self.num * self.p ** (k - self.k)
-        b = o.num * o.p ** (k - o.k)
-        return CycNum(a + b, self.p, k)
+        a, b = self.num, o.num
+        if self.k < o.k:
+            a = a * self.p ** (o.k - self.k)
+        elif o.k < self.k:
+            b = b * self.p ** (self.k - o.k)
+        return CycNum(a + b, self.p, max(self.k, o.k))
 
     __radd__ = __add__
 
@@ -493,20 +501,23 @@ def invert_p_power(x: CycInt, p: int, cap: int | None = None) -> CycNum:
     """Smallest k <= cap with p**k in the ideal (x), returned as q/p**k.
 
     The result is the inverse of x in Z[zeta_N][1/p] when it exists with
-    exponent at most cap (default 2(p-1)).
+    exponent at most cap (default 2(p-1)).  It is adj / n with adj, n from
+    _adjugate(x), which exists iff |n| is a power of p; the reduction of
+    CycNum leaves the smallest k because then q is not in p Z[zeta_N].
     """
     if x.is_zero:
         raise ZeroDivisionError("cannot invert zero")
     if cap is None:
         cap = 2 * (p - 1)
-    target = one(x.modulus)
-    for k in range(cap + 1):
-        try:
-            q = divide_exact(target, x)
-        except ExactDivisionError:
-            target = target * p
-            continue
-        return CycNum(q, p, k)
+    adj, n = _adjugate(x)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    if abs(n) == 1:
+        q = CycNum(adj * n, p, k)
+        if q.k <= cap:
+            return q
     raise PPowerInversionError(f"no q with q*x = {p}**k for k <= {cap}")
 
 
@@ -514,8 +525,11 @@ def valuation(x, p: int):
     """Largest k with x in (1 - zeta_p)**k Z[zeta_N]; math.inf for 0.
 
     Uses p = unit * (1 - zeta_p)**(p-1) to strip integer factors of p first,
-    then divides by (1 - zeta_p) until the division stops being exact.  For
-    a CycNum y/p**j this is valuation(y) - j*(p-1).
+    then divides by (1 - zeta_p) until the division stops being exact.  The
+    division multiplies by c = prod_{a=2}^{p-1} (1 - zeta_p**a), using
+    (1 - zeta_p) * c = p: x / (1 - zeta_p) = x * c / p, exact iff p divides
+    every coefficient of x * c.  For a CycNum y/p**j this is
+    valuation(y) - j*(p-1).
     """
     if isinstance(x, CycNum):
         v = valuation(x.num, p)
@@ -529,10 +543,12 @@ def valuation(x, p: int):
     while all(c % p == 0 for c in x.coeffs):
         x = CycInt(N, [c // p for c in x.coeffs])
         v += p - 1
-    u = one(N) - root(N, N // p)
+    c = one(N)
+    for a in range(2, p):
+        c = c * (one(N) - root(N, a * N // p))
     while True:
-        try:
-            x = divide_exact(x, u)
-        except ExactDivisionError:
+        y = (x * c).coeffs
+        if any(t % p for t in y):
             return v
+        x = CycInt(N, [t // p for t in y])
         v += 1

@@ -1,18 +1,12 @@
-"""The compiled kernel and the pure fallback must agree exactly."""
+"""The ring kernel must agree exactly with an independent reduction."""
 
 import random
 
-from skeincalc import _kernel_py
-from skeincalc.cyclotomic import _reduction_table, cyclotomic_polynomial, euler_phi
-
-try:
-    from skeincalc import _ckernel
-except ImportError:
-    _ckernel = None
+from skeincalc.cyclotomic import _reduction_table, cyclotomic_polynomial, euler_phi, mul_reduce
 
 
 def reference_mul(a, b, N):
-    """Schoolbook product reduced by long division (independent of the kernels)."""
+    """Schoolbook product reduced by long division (independent of the kernel)."""
     phi = euler_phi(N)
     conv = [0] * (2 * phi - 1)
     for i, ai in enumerate(a):
@@ -35,10 +29,7 @@ def test_kernels_agree_with_reference():
         for _ in range(50):
             a = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(phi)]
             b = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(phi)]
-            want = reference_mul(a, b, N)
-            assert _kernel_py.mul_reduce(a, b, table) == want
-            if _ckernel is not None:
-                assert _ckernel.mul_reduce(a, b, table) == want
+            assert mul_reduce(a, b, table) == reference_mul(a, b, N)
 
 
 def test_kernels_handle_big_integers():
@@ -48,20 +39,4 @@ def test_kernels_handle_big_integers():
     table = _reduction_table(N)
     a = [rng.randint(-10 ** 80, 10 ** 80) for _ in range(phi)]
     b = [rng.randint(-10 ** 80, 10 ** 80) for _ in range(phi)]
-    want = reference_mul(a, b, N)
-    assert _kernel_py.mul_reduce(a, b, table) == want
-    if _ckernel is not None:
-        assert _ckernel.mul_reduce(a, b, table) == want
-
-
-def test_backend_reports_selection():
-    import os
-
-    from skeincalc._backend import BACKEND, mul_reduce
-    assert BACKEND in ("cython", "python")
-    if os.environ.get("SKEINCALC_PURE"):
-        assert BACKEND == "python"
-        assert mul_reduce is _kernel_py.mul_reduce
-    elif _ckernel is not None:
-        assert BACKEND == "cython"
-        assert mul_reduce is _ckernel.mul_reduce
+    assert mul_reduce(a, b, table) == reference_mul(a, b, N)
