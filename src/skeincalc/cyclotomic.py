@@ -116,13 +116,29 @@ def _reduction_table(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _fold(c, table):
+    """Reduce a convolution row c (length up to 2*phi - 1) into the basis.
+
+    ``table[k]`` holds the power-basis coefficients of x**(phi + k) modulo
+    the cyclotomic polynomial, so the tail folds back without any
+    polynomial division.
+    """
+    phi = len(c) // 2 + 1
+    out = c[:phi]
+    for k in range(phi, len(c)):
+        ck = c[k]
+        if ck:
+            for i, ri in enumerate(table[k - phi]):
+                if ri:
+                    out[i] += ck * ri
+    return out
+
+
 def mul_reduce(a, b, table):
     """Product of two power-basis vectors, reduced into the basis.
 
-    ``a`` and ``b`` are equal-length sequences of ints.  ``table[k]`` holds
-    the power-basis coefficients of x**(phi + k) modulo the cyclotomic
-    polynomial, so the tail of the convolution folds back without any
-    polynomial division.  Returns a list of length ``len(a)``.
+    ``a`` and ``b`` are equal-length sequences of ints and ``table`` is
+    ``_reduction_table(N)``.  Returns a list of length ``len(a)``.
     """
     phi = len(a)
     c = [0] * (2 * phi - 1)
@@ -131,13 +147,56 @@ def mul_reduce(a, b, table):
             for j, bj in enumerate(b):
                 if bj:
                     c[i + j] += ai * bj
-    out = c[:phi]
-    for k in range(phi, 2 * phi - 1):
-        ck = c[k]
-        if ck:
-            for i, ri in enumerate(table[k - phi]):
-                if ri:
-                    out[i] += ck * ri
+    return _fold(c, table)
+
+
+def _pack(rows, width: int, stride: int) -> int:
+    """The signed integer sum of row[k] * 2**(8 * width * (i * stride + k))."""
+    pos = bytearray(width * stride * len(rows))
+    neg = bytearray(len(pos))
+    for i, row in enumerate(rows):
+        at = i * stride * width
+        for c in row:
+            if c > 0:
+                pos[at:at + width] = c.to_bytes(width, "little")
+            elif c < 0:
+                neg[at:at + width] = (-c).to_bytes(width, "little")
+            at += width
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def mul_rows(N: int, a_rows, b_rows) -> list[CycInt]:
+    """Product of two polynomials over Z[zeta_N] given as power-basis rows.
+
+    Entry r of the result is the element sum of a_rows[i] * b_rows[j] over
+    i + j = r.  Both operands are packed into one integer each (Kronecker
+    substitution): coefficient k of row i sits in slot i * (2 phi - 1) + k,
+    so one big-integer product holds every unreduced convolution row
+    side by side.  A slot of ``width`` bytes is wide enough because every
+    unreduced coefficient is a sum of at most phi * min(len a, len b)
+    products, each at most max|a| * max|b|, and one more bit holds the
+    sign.  Adding 2**(8 width - 1) to every slot makes all slots
+    non-negative, so the product unpacks without borrows; each row is then
+    folded into the basis once.  Returns len(a_rows) + len(b_rows) - 1
+    elements.
+    """
+    phi = len(a_rows[0])
+    stride = 2 * phi - 1
+    bound = (max(abs(c) for row in a_rows for c in row)
+             * max(abs(c) for row in b_rows for c in row)
+             * phi * min(len(a_rows), len(b_rows)))
+    width = bound.bit_length() // 8 + 1
+    n_slots = (len(a_rows) + len(b_rows) - 1) * stride
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * n_slots, "little")
+    prod = _pack(a_rows, width, stride) * _pack(b_rows, width, stride) + offset
+    buf = prod.to_bytes(width * n_slots, "little")
+    table = _reduction_table(N)
+    out = []
+    for at in range(0, len(buf), width * stride):
+        row = [int.from_bytes(buf[i:i + width], "little") - half
+               for i in range(at, at + width * stride, width)]
+        out.append(_make(N, tuple(_fold(row, table))))
     return out
 
 
@@ -203,7 +262,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.modulus, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _make(self.modulus, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
@@ -211,7 +270,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.modulus, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return _make(self.modulus, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -220,16 +279,16 @@ class CycInt:
         return o - self
 
     def __neg__(self):
-        return CycInt(self.modulus, [-c for c in self.coeffs])
+        return _make(self.modulus, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.modulus, [c * other for c in self.coeffs])
+            return _make(self.modulus, tuple([c * other for c in self.coeffs]))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.modulus,
-                      mul_reduce(self.coeffs, o.coeffs, _reduction_table(self.modulus)))
+        return _make(self.modulus,
+                     tuple(mul_reduce(self.coeffs, o.coeffs, _reduction_table(self.modulus))))
 
     __rmul__ = __mul__
 
@@ -267,6 +326,18 @@ class CycInt:
     @classmethod
     def from_json(cls, data: dict) -> "CycInt":
         return cls(data["modulus"], data["coeffs"])
+
+
+def _make(modulus: int, coeffs: tuple) -> CycInt:
+    """CycInt from a tuple of phi(modulus) ints, without re-checking them.
+
+    For results of the ring operations here, whose coefficients are ints of
+    the right count by construction; outside input goes through CycInt().
+    """
+    x = object.__new__(CycInt)
+    x.modulus = modulus
+    x.coeffs = coeffs
+    return x
 
 
 def zero(N: int) -> CycInt:
@@ -326,7 +397,7 @@ def divide_exact(x: CycInt, y: CycInt) -> CycInt:
     q = (x * adj).coeffs
     if any(c % n for c in q):
         raise ExactDivisionError(f"({x}) is not divisible by ({y})")
-    return CycInt(x.modulus, [c // n for c in q])
+    return _make(x.modulus, tuple([c // n for c in q]))
 
 
 class CycNum:
@@ -338,7 +409,7 @@ class CycNum:
         if k < 0:
             raise ValueError("denominator exponent must be >= 0")
         while k > 0 and all(c % p == 0 for c in num.coeffs):
-            num = CycInt(num.modulus, [c // p for c in num.coeffs])
+            num = _make(num.modulus, tuple([c // p for c in num.coeffs]))
             k -= 1
         self.num = num
         self.p = p
@@ -541,7 +612,7 @@ def valuation(x, p: int):
         raise ValueError(f"zeta_{p} does not lie in Z[zeta_{N}]")
     v = 0
     while all(c % p == 0 for c in x.coeffs):
-        x = CycInt(N, [c // p for c in x.coeffs])
+        x = _make(N, tuple([c // p for c in x.coeffs]))
         v += p - 1
     c = one(N)
     for a in range(2, p):
@@ -550,5 +621,5 @@ def valuation(x, p: int):
         y = (x * c).coeffs
         if any(t % p for t in y):
             return v
-        x = CycInt(N, [t // p for t in y])
+        x = _make(N, tuple([t // p for t in y]))
         v += 1

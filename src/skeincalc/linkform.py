@@ -15,6 +15,7 @@ classes, and the curve selections that pin the character values to 1/p or
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -374,7 +375,8 @@ def _is_surjective(chi: Character, k: int) -> bool:
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = next(f for f in range(2, q + 1) if q % f == 0)
+    # a q with no factor up to its square root is itself the prime
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
     t = 0
     while q % p == 0:
         q //= p

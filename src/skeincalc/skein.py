@@ -23,6 +23,7 @@ from .cyclotomic import (
     divide_exact,
     from_int,
     invert_p_power,
+    mul_rows,
     ring_modulus,
     root,
 )
@@ -72,6 +73,12 @@ def _as_cycnum(p: int, value) -> CycNum:
     if isinstance(value, int):
         return CycNum(from_int(N, value), p, 0)
     raise TypeError(f"cannot use {type(value).__name__} as a skein coefficient")
+
+
+def _common_denominator(p: int, coeffs) -> tuple[int, list]:
+    """k = max c.k and the power-basis rows of p**k * c for the coefficients c."""
+    k = max(c.k for c in coeffs)
+    return k, [(c.num * p ** (k - c.k)).coeffs for c in coeffs]
 
 
 class SkeinElem:
@@ -150,11 +157,11 @@ class SkeinElem:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return SkeinElem(self.p)
-        out = [_as_cycnum(self.p, 0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return SkeinElem(self.p, out)
+        p = self.p
+        ka, a_rows = _common_denominator(p, self.coeffs)
+        kb, b_rows = _common_denominator(p, o.coeffs)
+        out = mul_rows(ring_modulus(p), a_rows, b_rows)
+        return SkeinElem(p, [CycNum(c, p, ka + kb) for c in out])
 
     __rmul__ = __mul__
 

@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the production code paths they check: the Hopf
-bracket oracle resolves an explicit diagram crossing by crossing, and the
-satellite oracle expands over all coefficient tuples instead of powering
-the cable decoration.
+bracket oracle resolves an explicit diagram crossing by crossing, the skein
+product oracle multiplies coefficient pairs one ring product at a time
+instead of packing whole polynomials into one integer, and the satellite
+oracle expands over all coefficient tuples instead of powering the cable
+decoration.
 """
 
 from __future__ import annotations
@@ -91,6 +93,17 @@ def hopf_state_sum(p: int, n: int) -> CycInt:
             dpow.append(dpow[-1] * d)
         total = total + A_power(p, exp) * dpow[loops] * count
     return total
+
+
+def skein_product(x: SkeinElem, y: SkeinElem) -> SkeinElem:
+    """Product in the z-basis as the pairwise sum of CycNum products."""
+    p = x.p
+    zero = CycNum(from_int(ring_modulus(p), 0), p, 0)
+    out = [zero] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return SkeinElem(p, out)
 
 
 def satellite_direct(p: int, cable_decors, zero_decor) -> CycNum:

@@ -160,3 +160,21 @@ def test_orbit_check_argument_validation(capsys):
     assert main(["orbit-check", "--p", "5", "--trials", "0"]) == 2
     assert main(["orbit-check", "--p", "11", "--colors", "10"]) == 2  # over cap
     capsys.readouterr()
+
+
+def test_large_prime_order_returns_promptly():
+    # the summand order is factored by trial division up to its square root
+    import subprocess
+    import sys
+
+    def analyze(form):
+        return subprocess.run([sys.executable, "-m", "skeincalc", "cover", "analyze",
+                               "--form", form, "--char", "free:;tors:1/1000000007"],
+                              capture_output=True, text=True, timeout=10)
+
+    out = analyze("A1000000007")
+    assert out.returncode == 0
+    assert "target: Z_1000000007" in out.stdout
+    out = analyze("A3000000021")  # 3 * 1000000007
+    assert out.returncode == 2
+    assert "summand order must be a prime power" in out.stderr

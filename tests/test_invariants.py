@@ -232,3 +232,16 @@ def test_valuation_beyond_the_tabulated_primes():
     assert v == 105
     assert v >= cm_bound(17)
     assert elapsed < 20.0
+
+
+def test_valuation_past_the_benchmark_primes():
+    # both values equal (p-2)(p-3)/2 and were first computed with one ring
+    # product per pair of skein coefficients (4.4 s at p = 23 on a 2-CPU
+    # machine, against 0.6 s for the packed skein product)
+    assert cover_invariant_valuation(19) == 136
+    cover_invariant_valuation.cache_clear()
+    t0 = time.perf_counter()
+    v = cover_invariant_valuation(23)
+    elapsed = time.perf_counter() - t0
+    assert v == 210
+    assert elapsed < 5.0

@@ -1,0 +1,65 @@
+"""The packed skein product against the pairwise oracle.
+
+SkeinElem * SkeinElem multiplies whole polynomials through one big-integer
+product; tests/oracles.py::skein_product sums one CycNum product per pair of
+coefficients, so the two share only the single-element ring kernel.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from skeincalc.cyclotomic import CycInt, CycNum, euler_phi, ring_modulus
+from skeincalc.skein import SkeinElem, omega
+
+from oracles import skein_product
+
+BIG = 10 ** 80
+
+product_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def coefficients(p):
+    """A coefficient: zero, small, or up to +-10**80, over p**0 .. p**3."""
+    N = ring_modulus(p)
+    phi = euler_phi(N)
+    ints = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG), st.sampled_from([BIG, -BIG]))
+    nums = st.one_of(
+        st.just([0] * phi),
+        st.lists(ints, min_size=phi, max_size=phi),
+        st.sampled_from([BIG, -BIG]).map(lambda c: [c] * phi),
+    )
+    return st.builds(lambda cs, k: CycNum(CycInt(N, cs), p, k), nums, st.integers(0, 3))
+
+
+def skein_elems(p):
+    """Degree 0 to 6, or the zero element; interior rows may be zero."""
+    return st.lists(coefficients(p), min_size=0, max_size=7).map(lambda cs: SkeinElem(p, cs))
+
+
+pairs = st.sampled_from([5, 7, 11, 13]).flatmap(
+    lambda p: st.tuples(skein_elems(p), skein_elems(p)))
+
+
+def flat(p, c, length):
+    N = ring_modulus(p)
+    return SkeinElem(p, [CycInt(N, [c] * euler_phi(N))] * length)
+
+
+@product_settings
+@given(pairs)
+@example((flat(13, BIG, 1), flat(13, BIG, 1)))
+@example((flat(13, BIG, 7), flat(13, -BIG, 7)))
+@example((SkeinElem(5), flat(5, BIG, 3)))
+def test_product_matches_pairwise_oracle(case):
+    x, y = case
+    assert x * y == skein_product(x, y)
+    assert y * x == skein_product(y, x)
+
+
+def test_omega_power_matches_pairwise_oracle():
+    for p in (3, 5, 7, 11, 13):
+        w = omega(p)
+        acc = w
+        for _ in range(p - 1):
+            acc = skein_product(acc, w)
+        assert w ** p == acc
