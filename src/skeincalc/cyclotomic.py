@@ -27,16 +27,35 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot test a {n.bit_length()}-bit number for primality: "
+                         f"the test is exact only below {PRIME_TEST_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -148,56 +167,6 @@ def mul_reduce(a, b, table):
                 if bj:
                     c[i + j] += ai * bj
     return _fold(c, table)
-
-
-def _pack(rows, width: int, stride: int) -> int:
-    """The signed integer sum of row[k] * 2**(8 * width * (i * stride + k))."""
-    pos = bytearray(width * stride * len(rows))
-    neg = bytearray(len(pos))
-    for i, row in enumerate(rows):
-        at = i * stride * width
-        for c in row:
-            if c > 0:
-                pos[at:at + width] = c.to_bytes(width, "little")
-            elif c < 0:
-                neg[at:at + width] = (-c).to_bytes(width, "little")
-            at += width
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def mul_rows(N: int, a_rows, b_rows) -> list[CycInt]:
-    """Product of two polynomials over Z[zeta_N] given as power-basis rows.
-
-    Entry r of the result is the element sum of a_rows[i] * b_rows[j] over
-    i + j = r.  Both operands are packed into one integer each (Kronecker
-    substitution): coefficient k of row i sits in slot i * (2 phi - 1) + k,
-    so one big-integer product holds every unreduced convolution row
-    side by side.  A slot of ``width`` bytes is wide enough because every
-    unreduced coefficient is a sum of at most phi * min(len a, len b)
-    products, each at most max|a| * max|b|, and one more bit holds the
-    sign.  Adding 2**(8 width - 1) to every slot makes all slots
-    non-negative, so the product unpacks without borrows; each row is then
-    folded into the basis once.  Returns len(a_rows) + len(b_rows) - 1
-    elements.
-    """
-    phi = len(a_rows[0])
-    stride = 2 * phi - 1
-    bound = (max(abs(c) for row in a_rows for c in row)
-             * max(abs(c) for row in b_rows for c in row)
-             * phi * min(len(a_rows), len(b_rows)))
-    width = bound.bit_length() // 8 + 1
-    n_slots = (len(a_rows) + len(b_rows) - 1) * stride
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * n_slots, "little")
-    prod = _pack(a_rows, width, stride) * _pack(b_rows, width, stride) + offset
-    buf = prod.to_bytes(width * n_slots, "little")
-    table = _reduction_table(N)
-    out = []
-    for at in range(0, len(buf), width * stride):
-        row = [int.from_bytes(buf[i:i + width], "little") - half
-               for i in range(at, at + width * stride, width)]
-        out.append(_make(N, tuple(_fold(row, table))))
-    return out
 
 
 def format_poly(coeffs, symbol: str) -> str:
@@ -540,15 +509,14 @@ class ResidueClass:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ResidueClass(self.modulus, self.p,
-                            [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _residue(self.modulus, self.p, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         prod = mul_reduce(self.coeffs, o.coeffs, _reduction_table(self.modulus))
-        return ResidueClass(self.modulus, self.p, prod)
+        return _residue(self.modulus, self.p, prod)
 
     def __eq__(self, other):
         if not isinstance(other, ResidueClass):
@@ -563,9 +531,18 @@ class ResidueClass:
         return f"ResidueClass({self.modulus}, {self.p}, {list(self.coeffs)})"
 
 
+def _residue(modulus: int, p: int, coeffs) -> ResidueClass:
+    """ResidueClass of ring results (phi(modulus) ints), reduced mod p only."""
+    x = object.__new__(ResidueClass)
+    x.modulus = modulus
+    x.p = p
+    x.coeffs = tuple([c % p for c in coeffs])
+    return x
+
+
 def mod_p(x: CycInt, p: int) -> ResidueClass:
     """Coefficient-wise reduction Z[zeta_N] -> Z[zeta_N]/p (a ring map)."""
-    return ResidueClass(x.modulus, p, x.coeffs)
+    return _residue(x.modulus, p, x.coeffs)
 
 
 def invert_p_power(x: CycInt, p: int, cap: int | None = None) -> CycNum:

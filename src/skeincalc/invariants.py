@@ -8,9 +8,11 @@ of Hopf-fiber brackets H_n: a 0-framed component decorated with x equals a
 of every component is a family of +1-framed mutually +1-linked fibers.
 
 By the multinomial theorem the p identically decorated cable strands
-contribute cable**p, computed by repeated squaring in the skein, so the
-bracket is one linear functional z^n -> H_n applied to a single polynomial,
-with one exact division by A^2 - A^-2 per bracket.
+contribute cable**p, so the bracket is the functional L: z^n -> H_n applied
+to twist(zero_decor, -1) * cable**p.  L is a weighted sum of evaluations at
+the points of skein.hopf_points, so the bracket needs the two decorations'
+values there and one ring power per point; cable**p is never expanded and
+nothing is divided.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import math
 from functools import lru_cache
 
 from . import intlinalg
-from .cyclotomic import CycNum, divide_exact, from_int, ring_modulus, valuation
+from .cyclotomic import CycNum, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
-from .skein import A_power, SkeinElem, _hopf_numerator, eta, eta_squared, omega, twist
+from .skein import SkeinElem, eta, eta_squared, hopf_points, omega, twist
 
 
 class HopfSatellite:
@@ -45,20 +47,19 @@ def bracket_satellite(sat: HopfSatellite) -> CycNum:
     """Bracket of the decorated satellite as a Hopf-fiber expansion.
 
     The linear functional L: z^n -> H_n applied to
-    twist(zero_decor, -1) * cable_decor**p.  Since H_n = S_n / (A^2 - A^-2)
-    for n >= 1, the coefficients c_n are brought to one denominator p**k and
-    the sum of c_n S_n is divided once: L = c_0 + (sum c_n S_n) / (A^2 - A^-2).
+    twist(zero_decor, -1) * cable_decor**p, evaluated as the sum over the
+    pairs (z_j, w_j) of hopf_points(p) of w_j tz(z_j) cable(z_j)**p with
+    tz = twist(zero_decor, -1).  A point is skipped only when cable(z_j)
+    is zero there.
     """
     p = sat.p
-    poly = twist(sat.zero_decor, -1) * sat.cable_decor ** p
-    rest = poly.coeffs[1:]
-    k = max((c.k for c in rest), default=0)
-    total = from_int(ring_modulus(p), 0)
-    for n, c in enumerate(rest, 1):
+    tz = twist(sat.zero_decor, -1)
+    total = CycNum(from_int(ring_modulus(p), 0), p, 0)
+    for z, w in hopf_points(p):
+        c = sat.cable_decor.substitute(z)
         if not c.is_zero:
-            total = total + c.num * p ** (k - c.k) * _hopf_numerator(p, n)
-    q = divide_exact(total, A_power(p, 2) - A_power(p, -2))
-    return CycNum(q, p, k) + poly.coefficient(0)
+            total = total + w * tz.substitute(z) * c ** p
+    return total
 
 
 def cover_invariant(p: int) -> CycNum:

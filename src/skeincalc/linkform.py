@@ -372,16 +372,33 @@ def _is_surjective(chi: Character, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _iroot(q: int, t: int) -> int:
+    """Largest r with r**t <= q, by Newton's method from a start above it."""
+    b = q.bit_length()
+    if b // t < 1000:
+        # the float error in log2(q) / t is near 1e-13, far below the margin
+        r = int(2 ** (math.log2(q) / t) * (1 + 1e-9)) + 1
+    else:
+        r = 1 << -(-b // t)
+    while True:
+        s = ((t - 1) * r + q // r ** (t - 1)) // t
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    # a q with no factor up to its square root is itself the prime
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-    t = 0
-    while q % p == 0:
-        q //= p
-        t += 1
-    if q != 1:
+    # a prime factor below 2**10 is found by division; otherwise q = p**t
+    # with p > 2**10, so t <= bits / 10, and the largest such t gives p
+    p = next((f for f in range(2, min(1 << 10, math.isqrt(q) + 1)) if q % f == 0), None)
+    if p is None:
+        t = next(t for t in range(max(q.bit_length() // 10, 1), 0, -1) if _iroot(q, t) ** t == q)
+        p = _iroot(q, t)
+    else:
+        t = round(math.log(q, p))
+    if p ** t != q or not is_prime(p):
         raise ValueError("summand order must be a prime power")
     return p, t
 

@@ -10,23 +10,17 @@ Conventions (all verified by the test suite):
   * A is the primitive 2p-th root zeta_N**(N/2p) of the ring at p;
   * the twist acts on e_k by (-1)^k A^(k^2 + 2k);
   * the surgery element is omega(p) = sum of (-1)^k [k+1] e_k.
+
+Every bracket of +1-twisted cables, L(f) = plane_eval(twist(f, 1)), is read
+off the values of f at the points z_j = -(A^2j + A^-2j), j = 1 .. (p-1)/2,
+with the closed-form weights of hopf_points.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
-from .cyclotomic import (
-    CycInt,
-    CycNum,
-    divide_exact,
-    from_int,
-    invert_p_power,
-    mul_rows,
-    ring_modulus,
-    root,
-)
+from .cyclotomic import CycInt, CycNum, from_int, ring_modulus, root
 from .errors import ModulusMismatchError, UnsupportedPrimeError
 
 
@@ -42,22 +36,17 @@ def delta(p: int) -> CycInt:
     return -(A_power(p, 2) + A_power(p, -2))
 
 
-def _A_sum(p: int, terms) -> CycInt:
-    """Sum of c * A**e over the (e, c) pairs, reduced modulo Phi_N once."""
-    N = ring_modulus(p)
-    step = N // (2 * p)
-    coeffs = [0] * N
-    for e, c in terms:
-        coeffs[e * step % N] += c
-    return CycInt.from_poly(N, coeffs)
-
-
 @lru_cache(maxsize=None)
 def quantum_int(p: int, k: int) -> CycInt:
     """[k] = (A^2k - A^-2k) / (A^2 - A^-2) = sum over i < k of A^(2(k-1-2i))."""
     if k < 1:
         raise ValueError("quantum integers are defined for k >= 1")
-    return _A_sum(p, ((2 * (k - 1 - 2 * i), 1) for i in range(k)))
+    # A^2 = zeta_N^(N/p); the powers are reduced modulo Phi_N once
+    N = ring_modulus(p)
+    coeffs = [0] * N
+    for i in range(k):
+        coeffs[(k - 1 - 2 * i) * (N // p) % N] += 1
+    return CycInt.from_poly(N, coeffs)
 
 
 def _as_cycnum(p: int, value) -> CycNum:
@@ -73,12 +62,6 @@ def _as_cycnum(p: int, value) -> CycNum:
     if isinstance(value, int):
         return CycNum(from_int(N, value), p, 0)
     raise TypeError(f"cannot use {type(value).__name__} as a skein coefficient")
-
-
-def _common_denominator(p: int, coeffs) -> tuple[int, list]:
-    """k = max c.k and the power-basis rows of p**k * c for the coefficients c."""
-    k = max(c.k for c in coeffs)
-    return k, [(c.num * p ** (k - c.k)).coeffs for c in coeffs]
 
 
 class SkeinElem:
@@ -104,11 +87,6 @@ class SkeinElem:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, j: int) -> CycNum:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return _as_cycnum(self.p, 0)
 
     def _coerce(self, other):
         if isinstance(other, SkeinElem):
@@ -157,25 +135,13 @@ class SkeinElem:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return SkeinElem(self.p)
-        p = self.p
-        ka, a_rows = _common_denominator(p, self.coeffs)
-        kb, b_rows = _common_denominator(p, o.coeffs)
-        out = mul_rows(ring_modulus(p), a_rows, b_rows)
-        return SkeinElem(p, [CycNum(c, p, ka + kb) for c in out])
+        out = [_as_cycnum(self.p, 0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return SkeinElem(self.p, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers of skein elements are not defined")
-        result, base = SkeinElem(self.p, [1]), self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -207,8 +173,9 @@ class SkeinElem:
                 terms.append(f"{body}·z" if j == 1 else f"{body}·z^{j}")
         return " + ".join(terms)
 
-    def substitute(self, value: CycNum) -> CycNum:
-        """Evaluate at z = value (Horner)."""
+    def substitute(self, value) -> CycNum:
+        """Evaluate at z = value, a CycNum, CycInt or int (Horner)."""
+        value = _as_cycnum(self.p, value)
         acc = _as_cycnum(self.p, 0)
         for c in reversed(self.coeffs):
             acc = acc * value + c
@@ -290,31 +257,39 @@ def twist(x: SkeinElem, e: int) -> SkeinElem:
 
 
 @lru_cache(maxsize=None)
-def _hopf_numerator(p: int, n: int) -> CycInt:
-    """S_n = (A^2 - A^-2) H_n for n >= 1: the closed binomial sum
+def hopf_points(p: int) -> tuple[tuple[CycInt, CycNum], ...]:
+    """The pairs (z_j, w_j), j = 1 .. (p-1)/2, with L(f) = sum of w_j f(z_j).
 
-    sum over r < n of C(n-1, r) A^(s^2-1) (A^2s - A^-2s), s = n - 2r + 1,
-    whose terms are the single powers A^((s+1)^2-2) and A^((s-1)^2-2).
+    L(f) = plane_eval(twist(f, 1)).  A -1-framed omega around the strands
+    of f applies one positive full twist to them and scales by
+    plane_eval(twist(omega, -1)), whose inverse is
+    eta^2 * plane_eval(twist(omega, 1)).  Writing twist(omega, -1) in the
+    e-basis, its e_(j-1) coefficient is [j] A^(1-j^2), and f encircling e_(j-1)
+    evaluates to f(z_j) (-1)^(j-1) [j] with z_j = -(A^2j + A^-2j).  So
+    w_j = eta^2 plane_eval(twist(omega, 1)) (-1)^(j-1) A^(1-j^2) [j]^2.
     """
-    terms = []
-    for r in range(n):
-        s, c = n - 2 * r + 1, math.comb(n - 1, r)
-        terms += [((s + 1) ** 2 - 2, c), ((s - 1) ** 2 - 2, -c)]
-    return _A_sum(p, terms)
+    scale = eta_squared(p) * plane_eval(twist(omega(p), 1))
+    out = []
+    for j in range(1, (p - 1) // 2 + 1):
+        z = -(A_power(p, 2 * j) + A_power(p, -2 * j))
+        w = scale * (A_power(p, 1 - j * j) * quantum_int(p, j) ** 2)
+        out.append((z, w if j % 2 else -w))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def hopf_bracket(p: int, n: int) -> CycInt:
     """Bracket H_n of n Hopf fibers, all framings +1 and pairwise linking +1.
 
-    H_0 = 1; for n >= 1 this is the closed binomial sum with the
-    (A^2 - A^-2) prefactor applied by exact division.
+    H_n = L(z^n) = sum of w_j z_j^n over hopf_points(p); the sum is checked
+    to be integral.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return from_int(ring_modulus(p), 1)
-    return divide_exact(_hopf_numerator(p, n), A_power(p, 2) - A_power(p, -2))
+    total = _as_cycnum(p, 0)
+    for z, w in hopf_points(p):
+        total = total + w * z ** n
+    return total.as_integral()
 
 
 _ETA_EXACT = {
@@ -342,15 +317,15 @@ def eta(p: int) -> CycNum:
 
 @lru_cache(maxsize=None)
 def eta_squared(p: int) -> CycNum:
-    """eta^2 = 1 / sum of [k+1]^2, from the sphere-bundle normalization.
+    """eta^2 = -(A^2 - A^-2)^2 / p, from the sphere-bundle normalization.
 
     Zero-surgery on the unknot gives eta^2 * plane_eval(omega) = 1, and
-    plane_eval(omega) = sum of [k+1]^2; the inverse exists in O_p[1/p].
+    plane_eval(omega) = sum of [j]^2 over j = 1 .. (p-1)/2.  With q = A^2,
+    (q - 1/q)^2 [j]^2 = q^2j + q^-2j - 2, and the exponents +-2j run over
+    the nonzero residues mod p once each, so the sum is -p / (A^2 - A^-2)^2.
     """
-    total = from_int(ring_modulus(p), 0)
-    for k in range((p - 3) // 2 + 1):
-        total = total + quantum_int(p, k + 1) ** 2
-    return invert_p_power(total, p)
+    d = A_power(p, 2) - A_power(p, -2)
+    return CycNum(-(d * d), p, 1)
 
 
 def kappa_exponent(p: int) -> int:

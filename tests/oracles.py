@@ -1,21 +1,22 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the production code paths they check: the Hopf
-bracket oracle resolves an explicit diagram crossing by crossing, the skein
-product oracle multiplies coefficient pairs one ring product at a time
-instead of packing whole polynomials into one integer, and the satellite
-oracle expands over all coefficient tuples instead of powering the cable
-decoration.
+These deliberately avoid the production code paths they check.  The
+production brackets evaluate at the points z_j with closed-form weights;
+here the Hopf bracket is resolved from an explicit diagram crossing by
+crossing, or summed from its binomial closed form with one exact division,
+and the satellite bracket is expanded in the z-basis, either over every
+cable-coefficient tuple or through the p-th power of the cable decoration.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from functools import lru_cache
 
-from skeincalc.cyclotomic import CycInt, CycNum, from_int, ring_modulus
-from skeincalc.skein import A_power, SkeinElem, delta, hopf_bracket, twist
+from skeincalc.cyclotomic import CycInt, CycNum, divide_exact, from_int, ring_modulus
+from skeincalc.skein import A_power, SkeinElem, delta, twist
 
 
 def numeric(x, N=None):
@@ -95,15 +96,34 @@ def hopf_state_sum(p: int, n: int) -> CycInt:
     return total
 
 
-def skein_product(x: SkeinElem, y: SkeinElem) -> SkeinElem:
-    """Product in the z-basis as the pairwise sum of CycNum products."""
-    p = x.p
-    zero = CycNum(from_int(ring_modulus(p), 0), p, 0)
-    out = [zero] * (len(x.coeffs) + len(y.coeffs) - 1)
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
-            out[i + j] = out[i + j] + a * b
-    return SkeinElem(p, out)
+@lru_cache(maxsize=None)
+def hopf_binomial(p: int, n: int) -> CycInt:
+    """H_n = S_n / (A^2 - A^-2) for n >= 1, with one exact division.
+
+    S_n is the sum over r < n of C(n-1, r) A^(s^2-1) (A^2s - A^-2s),
+    s = n - 2r + 1, whose terms are A^((s+1)^2-2) and A^((s-1)^2-2).
+    """
+    N = ring_modulus(p)
+    if n == 0:
+        return from_int(N, 1)
+    total = from_int(N, 0)
+    for r in range(n):
+        s = n - 2 * r + 1
+        term = A_power(p, (s + 1) ** 2 - 2) - A_power(p, (s - 1) ** 2 - 2)
+        total = total + term * math.comb(n - 1, r)
+    return divide_exact(total, A_power(p, 2) - A_power(p, -2))
+
+
+def bracket_by_cable_power(sat) -> CycNum:
+    """L(tz * cable**p) in the z-basis, with L: z^n -> hopf_binomial(p, n)."""
+    p = sat.p
+    poly = twist(sat.zero_decor, -1)
+    for _ in range(p):
+        poly = poly * sat.cable_decor
+    total = CycNum(from_int(ring_modulus(p), 0), p, 0)
+    for n, c in enumerate(poly.coeffs):
+        total = total + c * hopf_binomial(p, n)
+    return total
 
 
 def satellite_direct(p: int, cable_decors, zero_decor) -> CycNum:
@@ -118,7 +138,7 @@ def satellite_direct(p: int, cable_decors, zero_decor) -> CycNum:
             term = cm
             for dec, j in zip(cable_decors, combo):
                 term = term * dec.coeffs[j]
-            total = total + term * hopf_bracket(p, m + sum(combo))
+            total = total + term * hopf_binomial(p, m + sum(combo))
     return total
 
 

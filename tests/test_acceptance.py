@@ -26,7 +26,7 @@ DISPLAY_P7 = CycInt(14, [7 * 176993, 7 * 397520, -7 * 318640,
 def _cold_caches():
     """Clear the computation-level caches so timed criteria start cold."""
     for fn in (skein.delta, skein.quantum_int, skein.chebyshev_e, skein.omega,
-               skein._z_to_e_rows, skein._hopf_numerator, skein.hopf_bracket,
+               skein._z_to_e_rows, skein.hopf_points, skein.hopf_bracket,
                skein.eta_squared, skein.kappa, invariants.cover_invariant_valuation,
                congruence.kappa_order, congruence.kappa_residues):
         fn.cache_clear()

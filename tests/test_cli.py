@@ -163,7 +163,7 @@ def test_orbit_check_argument_validation(capsys):
 
 
 def test_large_prime_order_returns_promptly():
-    # the summand order is factored by trial division up to its square root
+    # the summand order is split as r**t and r is tested by Miller-Rabin
     import subprocess
     import sys
 
@@ -178,3 +178,40 @@ def test_large_prime_order_returns_promptly():
     out = analyze("A3000000021")  # 3 * 1000000007
     assert out.returncode == 2
     assert "summand order must be a prime power" in out.stderr
+    # 10**18 + 3 is prime, with no factor below its square root to stop a search
+    big = "1000000000000000003"
+    out = subprocess.run([sys.executable, "-m", "skeincalc", "cover", "analyze",
+                          "--form", f"A{big}", "--char", f"free:;tors:1/{big}"],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0
+    assert f"target: Z_{big}" in out.stdout
+
+
+def test_prime_above_the_cap_is_refused_promptly():
+    import subprocess
+    import sys
+
+    out = subprocess.run([sys.executable, "-m", "skeincalc", "valuation",
+                          "--p", "1000000000000000003"],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1
+    assert "above the cap 101" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_valuation_and_hopf_prime_cap(capsys):
+    assert main(["valuation", "--p", "103"]) == 1
+    assert main(["hopf", "--p", "103", "--n", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("above the cap 101") == 2
+    # beyond the exact range of the primality test the argument is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["valuation", "--p", str(2 ** 89 - 1)])
+    assert exc.value.code == 2
+    assert "primality" in capsys.readouterr().err
+
+
+def test_homology_matrix_with_leading_minus(capsys):
+    code, out, _ = run(capsys, "homology", "--matrix=-1,0;0,1")
+    assert code == 0
+    assert out.strip() == "0"

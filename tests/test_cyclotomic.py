@@ -4,13 +4,16 @@ import random
 import pytest
 
 from skeincalc.cyclotomic import (
+    PRIME_TEST_LIMIT,
     CycInt,
     CycNum,
+    ResidueClass,
     cyclotomic_polynomial,
     divide_exact,
     euler_phi,
     from_int,
     invert_p_power,
+    is_prime,
     mod_p,
     one,
     ring_modulus,
@@ -164,6 +167,44 @@ def test_invert_p_power():
     # 2 never divides a power of 5
     with pytest.raises(PPowerInversionError):
         invert_p_power(from_int(20, 2), 5)
+
+
+def test_is_prime_against_a_sieve():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = [False] * len(range(f * f, limit, f))
+    assert [n for n in range(-3, limit) if is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # Carmichael numbers, and the least strong pseudoprimes to the first
+    # 1, 4, 9 and 12 prime bases; the last one needs the base 41
+    for n in (561, 1729, 2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n)
+    for n in (1000000007, 1000000000000000003, 2 ** 61 - 1,
+              1000000000000000000000007, 3317044064679887385961813):
+        assert is_prime(n)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randrange(1, PRIME_TEST_LIMIT) | 1
+        assert is_prime(n) == sympy.isprime(n)
+    # the first 13 bases fail at the limit itself, so it is refused
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_LIMIT)
+
+
+def test_residue_class_checks_outside_input():
+    assert ResidueClass(20, 5, [7, -1, 0, 0, 0, 0, 0, 5]).coeffs == (2, 4, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        ResidueClass(20, 5, [1.5] + [0] * 7)
+    with pytest.raises(ValueError):
+        ResidueClass(20, 5, [0] * 7)
 
 
 def test_mod_p_examples():

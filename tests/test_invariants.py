@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from skeincalc import invariants
+from skeincalc import skein
 from skeincalc.congruence import cm_bound
-from skeincalc.cyclotomic import CycInt, CycNum, from_int, mod_p, ring_modulus, valuation
-from skeincalc.errors import ExactDivisionError, UnsupportedPrimeError
+from skeincalc.cyclotomic import CycInt, CycNum, is_prime, mod_p, ring_modulus, valuation
+from skeincalc.errors import UnsupportedPrimeError
 from skeincalc.invariants import (
     AbelianGroup,
     HopfSatellite,
@@ -17,9 +17,9 @@ from skeincalc.invariants import (
     homology_from_matrix,
     linking_matrix,
 )
-from skeincalc.skein import A_power, SkeinElem, delta, hopf_bracket, omega
+from skeincalc.skein import A_power, SkeinElem, delta, eta, hopf_bracket, omega
 
-from oracles import random_cycint, random_skein, satellite_direct
+from oracles import bracket_by_cable_power, random_cycint, random_skein, satellite_direct
 
 # the published p=5 value and the forced p=7 value (see README notes)
 VALUE_P5 = CycInt(20, [0, -2, 0, 4, 0, -1, 0, -2])
@@ -72,8 +72,7 @@ def test_bracket_matches_direct_expansion():
     # the production decorations at p=7
     assert bracket_satellite(HopfSatellite(7, omega(7), omega(7))) == \
         satellite_direct(7, [omega(7)] * 7, omega(7))
-    # decorations with p-power denominators exercise the common denominator
-    # taken before the single exact division
+    # decorations with p-power denominators, on top of the weights' own 1/p
     for p in (5, 7):
         N = ring_modulus(p)
         cable = SkeinElem(p, [CycNum(random_cycint(rng, N, -4, 4), p, rng.randint(0, 2))
@@ -84,13 +83,11 @@ def test_bracket_matches_direct_expansion():
         assert value.k > 0
 
 
-def test_bracket_keeps_its_exact_division_check(monkeypatch):
-    # a numerator sum outside the ideal (A^2 - A^-2) must still be refused
-    monkeypatch.setattr(invariants, "_hopf_numerator",
-                        lambda p, n: from_int(ring_modulus(p), 1))
-    z = SkeinElem(5, [0, 1])
-    with pytest.raises(ExactDivisionError):
-        bracket_satellite(HopfSatellite(5, z, SkeinElem(5, [1])))
+def test_bracket_matches_cable_power_oracle():
+    # the production decorations against L(tz * cable**p) in the z-basis
+    for p in (3, 5, 7, 11, 13, 17):
+        sat = HopfSatellite(p, omega(p), omega(p))
+        assert bracket_satellite(sat) == bracket_by_cable_power(sat)
 
 
 def test_bracket_linear_in_ring_decoration():
@@ -206,7 +203,7 @@ def test_abelian_group_str_and_validation():
 
 def test_bracket_collapse_at_large_p_against_direct():
     # degree-1 decorations keep the direct expansion tractable (2^11 tuples)
-    # while still exercising the cable power at a large p
+    # at a large p
     rng = random.Random(23)
     p = 11
     cable = random_skein(rng, p, max_degree=1)
@@ -224,7 +221,7 @@ def test_valuation_beyond_the_tabulated_primes():
     assert v == 55
     # p = 17 equals (p-2)(p-3)/2; the bracket it rests on is identical to
     # the one the composition-enumerating multinomial sum gave (165 s on a
-    # 2-CPU machine, against 1-2 s for the cable**p form)
+    # 2-CPU machine, against about 0.02 s for the point evaluation)
     cover_invariant_valuation.cache_clear()
     t0 = time.perf_counter()
     v = cover_invariant_valuation(17)
@@ -235,13 +232,33 @@ def test_valuation_beyond_the_tabulated_primes():
 
 
 def test_valuation_past_the_benchmark_primes():
-    # both values equal (p-2)(p-3)/2 and were first computed with one ring
-    # product per pair of skein coefficients (4.4 s at p = 23 on a 2-CPU
-    # machine, against 0.6 s for the packed skein product)
+    # both values equal (p-2)(p-3)/2 and were first computed in the z-basis
+    # with one ring product per pair of skein coefficients (4.4 s at p = 23
+    # on a 2-CPU machine, against about 0.02 s for the point evaluation)
     assert cover_invariant_valuation(19) == 136
     cover_invariant_valuation.cache_clear()
     t0 = time.perf_counter()
     v = cover_invariant_valuation(23)
     elapsed = time.perf_counter() - t0
     assert v == 210
+    assert elapsed < 5.0
+
+
+def test_valuation_closed_form():
+    # the cover invariant is eta^(2-p), so its valuation is (p-2)(p-3)/2
+    for p in range(5, 62, 2):
+        if is_prime(p):
+            assert cover_invariant_valuation(p) == (p - 2) * (p - 3) // 2
+    for p in (5, 7):
+        assert cover_invariant(p) * eta(p) ** (p - 2) == 1
+
+
+def test_valuation_at_p61_cold():
+    for fn in (skein.quantum_int, skein.chebyshev_e, skein.omega, skein.hopf_points,
+               skein.eta_squared, cover_invariant_valuation):
+        fn.cache_clear()
+    t0 = time.perf_counter()
+    v = cover_invariant_valuation(61)
+    elapsed = time.perf_counter() - t0
+    assert v == 1711
     assert elapsed < 5.0

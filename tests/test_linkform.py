@@ -327,6 +327,10 @@ def test_parse_and_format_round_trip():
     assert format_form(form) == "A25+A5+B5[2]"
     # default unit is the smallest non-residue
     assert parse_form("B7").summands[0].unit == 3
+    # orders far past the primality test's range, as long as p is inside it
+    big = parse_form(f"A{5 ** 40}+A125")
+    assert [s.exponent for s in big.summands] == [40, 3]
+    assert parse_form(f"A{1000000007 ** 3}").summands[0].exponent == 3
 
     chi = parse_character("free:0,0;tors:1/5,0,2/5", form, free_rank=2)
     assert chi.order == 5
@@ -341,6 +345,10 @@ def test_parse_and_format_round_trip():
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_form("A24")  # not a prime power
+    with pytest.raises(ValueError):
+        parse_form(f"A{(10 ** 9 + 7) * (10 ** 9 + 9)}")  # no factor below 2**10
+    with pytest.raises(ValueError):
+        parse_form(f"A{2 ** 89 - 1}")  # a prime beyond the exact primality test
     with pytest.raises(ValueError):
         parse_form("A25+B49")  # mixed primes
     with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from skeincalc.skein import (
     twist,
 )
 
-from oracles import hopf_state_sum, random_skein
+from oracles import hopf_binomial, hopf_state_sum, random_skein
 
 
 def test_delta_examples():
@@ -128,6 +128,13 @@ def test_hopf_bracket_vs_state_sum_oracle():
             assert hopf_bracket(p, n) == hopf_state_sum(p, n)
 
 
+def test_hopf_bracket_vs_binomial_oracle():
+    # the weighted point sum against the binomial sum with one exact division
+    for p in (3, 5, 7, 11, 13):
+        for n in range(30):
+            assert hopf_bracket(p, n) == hopf_binomial(p, n)
+
+
 def test_hopf_bracket_vs_twist_route():
     # n +1-framed fibers are one positive full twist applied to z^n
     for p in (5, 7, 11):
@@ -146,8 +153,8 @@ def test_eta_exact_values():
 def test_eta_squared_consistency():
     for p in (5, 7):
         assert eta(p) ** 2 == eta_squared(p)
-    # self-checking postcondition at a prime without a pinned sign
-    for p in (5, 7, 11):
+    # the closed form against its defining sum: eta^2 * sum of [k+1]^2 = 1
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         total = from_int(ring_modulus(p), 0)
         for k in range((p - 3) // 2 + 1):
             total = total + quantum_int(p, k + 1) ** 2
@@ -176,16 +183,3 @@ def test_skein_json_round_trip():
     assert SkeinElem.from_json(x.to_json()) == x
     data = x.to_json()
     assert data.keys() == {"p", "coeffs"}
-
-
-def test_skein_power_is_repeated_product():
-    rng = random.Random(31)
-    for p in (5, 7):
-        x = random_skein(rng, p, max_degree=2)
-        assert x ** 0 == SkeinElem(p, [1])
-        acc = SkeinElem(p, [1])
-        for e in range(1, 8):
-            acc = acc * x
-            assert x ** e == acc
-    with pytest.raises(ValueError):
-        SkeinElem(5, [0, 1]) ** -1

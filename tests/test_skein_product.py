@@ -1,17 +1,15 @@
-"""The packed skein product against the pairwise oracle.
+"""The skein product against point evaluation.
 
-SkeinElem * SkeinElem multiplies whole polynomials through one big-integer
-product; tests/oracles.py::skein_product sums one CycNum product per pair of
-coefficients, so the two share only the single-element ring kernel.
+A product of degree d over the domain Z[zeta_N][1/p] is fixed by its degree
+and its values at d + 1 distinct points, and SkeinElem.substitute evaluates
+by Horner's rule without any skein product.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeincalc.cyclotomic import CycInt, CycNum, euler_phi, ring_modulus
-from skeincalc.skein import SkeinElem, omega
-
-from oracles import skein_product
+from skeincalc.skein import SkeinElem
 
 BIG = 10 ** 80
 
@@ -50,16 +48,13 @@ def flat(p, c, length):
 @example((flat(13, BIG, 1), flat(13, BIG, 1)))
 @example((flat(13, BIG, 7), flat(13, -BIG, 7)))
 @example((SkeinElem(5), flat(5, BIG, 3)))
-def test_product_matches_pairwise_oracle(case):
+def test_product_matches_values_at_points(case):
     x, y = case
-    assert x * y == skein_product(x, y)
-    assert y * x == skein_product(y, x)
-
-
-def test_omega_power_matches_pairwise_oracle():
-    for p in (3, 5, 7, 11, 13):
-        w = omega(p)
-        acc = w
-        for _ in range(p - 1):
-            acc = skein_product(acc, w)
-        assert w ** p == acc
+    xy = x * y
+    assert xy == y * x
+    if x.is_zero or y.is_zero:
+        assert xy.is_zero
+        return
+    assert xy.degree == x.degree + y.degree
+    for t in range(xy.degree + 1):
+        assert xy.substitute(t) == x.substitute(t) * y.substitute(t)

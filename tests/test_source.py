@@ -15,3 +15,18 @@ def test_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCE.is_dir()
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_pipeline_modules_do_not_divide():
+    # the brackets and eta^2 are closed forms; the Galois-adjugate division
+    # and inversion stay public but off the pipeline
+    banned = {"divide_exact", "invert_p_power"}
+    found = []
+    for name in ("skein.py", "invariants.py"):
+        tree = ast.parse((SOURCE / name).read_text(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{name}: {a.name}" for a in node.names if a.name in banned]
+            elif isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(f"{name}:{node.lineno}: {node.attr}")
+    assert not found, f"division on the pipeline: {found}"
