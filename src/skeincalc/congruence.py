@@ -2,7 +2,8 @@
 the quadratic valuation bound, and the shift-orbit collapse congruence.
 
 All verdicts are exact: residues are coefficient vectors in O_p / p·O_p,
-which is well defined because the ring has a power basis.
+which is well defined because the ring has a power basis.  kappa is the
+root of unity zeta_N^t, so its order is N / gcd(t, N), read off t.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ import itertools
 from functools import lru_cache
 
 from .cyclotomic import CycInt, CycNum, ResidueClass, from_int, mod_p, ring_modulus
-from .errors import InconsistencyError, TooLargeError
-from .skein import kappa
+from .errors import ModulusMismatchError, TooLargeError
+from .skein import kappa, kappa_order
 
-ORBIT_TERM_CAP = 10 ** 7
+# cap on orbit_sequence_count's work; the slowest accepted CLI call takes
+# about 3 s on 2 CPUs
+ORBIT_TERM_CAP = 3 * 10 ** 6
 
 
 class CongruenceVerdict:
@@ -38,20 +41,6 @@ class CongruenceVerdict:
 
 
 @lru_cache(maxsize=None)
-def kappa_order(p: int) -> int:
-    """Multiplicative order of kappa, found by iteration."""
-    k = kappa(p)
-    power = k
-    order = 1
-    while power != 1:
-        power = power * k
-        order += 1
-        if order > 4 * p:
-            raise InconsistencyError("kappa order exceeded the root-of-unity bound")
-    return order
-
-
-@lru_cache(maxsize=None)
 def kappa_residues(p: int) -> dict:
     """All residues of n*kappa^m mod p, keyed to their first witness (m, n).
 
@@ -69,31 +58,31 @@ def kappa_residues(p: int) -> dict:
 
 def check_kappa_congruence(x, p: int) -> CongruenceVerdict:
     """Is x congruent to some kappa^m * n mod p*O_p?  Witness reports reduced
-    (m, n); a CycNum input must reduce to denominator exponent zero."""
+    (m, n).  x is an int, an element of the ring at p, or a CycNum that must
+    reduce to denominator exponent zero."""
+    N = ring_modulus(p)
     if isinstance(x, CycNum):
         x = x.as_integral()
-    residues = kappa_residues(p)
-    witness = residues.get(mod_p(x, p))
-    return CongruenceVerdict(witness is not None, witness,
-                             kappa_order(p) * p)
+    if isinstance(x, int):
+        x = from_int(N, x)
+    elif x.modulus != N:
+        raise ModulusMismatchError(f"x is in Z[zeta_{x.modulus}], not Z[zeta_{N}]")
+    witness = kappa_residues(p).get(mod_p(x, p))
+    return CongruenceVerdict(witness is not None, witness, kappa_order(p) * p)
 
 
 def check_kappa_congruence_up_to_phase(x, p: int) -> CongruenceVerdict:
-    """Same test applied to x * kappa^j over all j.
+    """Same test applied to x * kappa^j over all j < ord(kappa).
 
-    Multiplication by the unit kappa permutes the residue list, so this can
-    never disagree with the strict verdict; it is reported separately so a
-    non-canonical phase choice at general p is visible rather than silent.
+    Multiplication by the unit kappa permutes the residue list, so every j
+    gets the strict verdict, with the witness of j = 0; a failure checks
+    ord(kappa) times the strict candidates.  It is reported separately so
+    a non-canonical phase choice at general p is visible rather than silent.
     """
-    if isinstance(x, CycNum):
-        x = x.as_integral()
-    checked = 0
-    for j in range(kappa_order(p)):
-        verdict = check_kappa_congruence(x * kappa(p) ** j, p)
-        checked += verdict.candidates_checked
-        if verdict.congruent:
-            return CongruenceVerdict(True, verdict.witness, checked)
-    return CongruenceVerdict(False, None, checked)
+    verdict = check_kappa_congruence(x, p)
+    if not verdict.congruent:
+        verdict.candidates_checked *= kappa_order(p)
+    return verdict
 
 
 def cm_bound(p: int) -> int:
@@ -118,6 +107,21 @@ def necklace_orbits(num_colors: int, p: int):
         if rep not in seen:
             seen.add(rep)
             yield rep
+
+
+def orbit_sequence_count(colors: int, p: int, trials: int = 1,
+                         cap: int = ORBIT_TERM_CAP) -> int:
+    """colors^p, the sequences per trial, once the work is within cap.
+
+    The work is trials * (colors^p + 1) * p^3: a sequence multiplies p
+    weights in a ring of dimension below 2p, and the 1 is a trial's own
+    cost.  colors^p is not formed when 2^p alone passes the cap.
+    """
+    if colors < 1 or trials < 1:
+        raise ValueError("need at least one color and one trial")
+    if (colors > 1 and p >= cap.bit_length()) or trials * (colors ** p + 1) * p ** 3 > cap:
+        raise TooLargeError(f"{trials} trial(s) of {colors}^{p} sequences exceed the cap {cap}")
+    return colors ** p
 
 
 class OrbitCheckReport:
@@ -149,11 +153,7 @@ def orbit_congruence_check(weights, orbit_values, p: int) -> OrbitCheckReport:
     """
     weights = list(weights)
     num_colors = len(weights)
-    if num_colors < 1:
-        raise ValueError("need at least one color")
-    total = num_colors ** p
-    if total > ORBIT_TERM_CAP:
-        raise TooLargeError(f"{num_colors}^{p} sequences exceed the cap {ORBIT_TERM_CAP}")
+    total = orbit_sequence_count(num_colors, p)
 
     lhs = 0
     for seq in itertools.product(range(num_colors), repeat=p):

@@ -59,6 +59,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def ring_modulus(p: int) -> int:
     """Conductor N of the cyclotomic ring used at the odd prime p.
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import intlinalg
 from .cyclotomic import CycNum, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
-from .skein import SkeinElem, eta, eta_squared, hopf_points, omega, twist
+from .skein import SkeinElem, eta, eta_squared, hopf_points, omega, phase_pinned, twist
 
 
 class HopfSatellite:
@@ -69,19 +69,11 @@ def cover_invariant(p: int) -> CycNum:
     p + 1 components (the exponent is component count plus one).  Other
     primes have no pinned signed eta; use cover_invariant_valuation instead.
     """
-    if not _has_exact_eta(p):
+    if not phase_pinned(p):
         raise UnsupportedPrimeError(
             f"exact invariant needs the signed eta, pinned only for p in {{5, 7}}")
     sat = HopfSatellite(p, omega(p), omega(p))
     return eta(p) ** (p + 2) * bracket_satellite(sat)
-
-
-def _has_exact_eta(p: int) -> bool:
-    try:
-        eta(p)
-    except UnsupportedPrimeError:
-        return False
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -273,8 +273,28 @@ class SccCurve(NamedTuple):
     pairing: Fraction
 
 
-def _embedded(form: WallForm, i: int, value: int) -> TorsionElement:
-    return TorsionElement(value if j == i else 0 for j in range(len(form.summands)))
+def _select(form: WallForm, chi: Character, orders) -> list:
+    """(summand, class, pairing, order) wherever chi's dual projects nonzero.
+
+    The projection u * q/order (u a unit) must have an order in ``orders``;
+    the class 1/(unit * u) mod order pairs with it to exactly 1/order.
+    """
+    dual = dual_element(form, chi.torsion_values)
+    out = []
+    for i, (s, c) in enumerate(zip(form.summands, dual.values)):
+        if c == 0:
+            continue
+        q = form.p ** s.exponent
+        order = q // math.gcd(c, q)
+        if order not in orders:
+            raise InconsistencyError(f"dual projection has order {order}, not one of {orders}")
+        x = pow(s.unit * (c // (q // order)), -1, order)
+        elem = TorsionElement(x if j == i else 0 for j in range(len(form.summands)))
+        value = pair(form, dual, elem)
+        if value != Fraction(1, order):
+            raise InconsistencyError(f"selected curve pairs to {value}, not 1/{order}")
+        out.append((i, elem, value, order))
+    return out
 
 
 def scc_curves(h: Homology1, chi: Character) -> list[SccCurve]:
@@ -289,25 +309,7 @@ def scc_curves(h: Homology1, chi: Character) -> list[SccCurve]:
         raise CharacterDomainError(f"character target must be Z_{p}")
     if chi.is_zero:
         raise CharacterDomainError("character must be nonzero")
-    dual = dual_element(h.form, chi.torsion_values)
-    out = []
-    for i, (s, c) in enumerate(zip(h.form.summands, dual.values)):
-        if c == 0:
-            continue
-        q = p ** s.exponent
-        # c = u * p^(t-1) with u a unit: chi on this summand has order p
-        if c % (q // p):
-            raise InconsistencyError("dual of a Z_p character must have order dividing p")
-        u = c // (q // p)
-        if u % p == 0:
-            raise InconsistencyError("dual projection of a nonzero value must be nonzero mod p")
-        x = pow(s.unit * u, -1, p)
-        elem = _embedded(h.form, i, x)
-        value = pair(h.form, dual, elem)
-        if value != Fraction(1, p):
-            raise InconsistencyError(f"scc curve pairs to {value}, not 1/{p}")
-        out.append(SccCurve(i, elem, value))
-    return out
+    return [SccCurve(i, elem, value) for i, elem, value, _ in _select(h.form, chi, (p,))]
 
 
 class Scc2Curve(NamedTuple):
@@ -327,40 +329,13 @@ def scc2_curves(h: Homology1, chi: Character) -> list[Scc2Curve]:
     p = h.form.p
     if chi.order != p * p:
         raise CharacterDomainError(f"character target must be Z_{p * p}")
-    if not _is_surjective(chi, p * p):
+    # onto iff some value generates Z_(p^2): a unit free value or a torsion
+    # value with denominator p^2
+    if not (any(v % p for v in chi.free_values)
+            or any(v.denominator == p * p for v in chi.torsion_values)):
         raise CharacterDomainError("character is not onto Z_(p^2)")
-    dual = dual_element(h.form, chi.torsion_values)
-    out = []
-    for i, (s, c) in enumerate(zip(h.form.summands, dual.values)):
-        if c == 0:
-            continue
-        q = p ** s.exponent
-        order = q // _gcd(c, q)
-        # chi restricted to the summand has the order of the dual projection
-        if order not in (p, p * p):
-            raise InconsistencyError(f"dual projection has order {order}, not p or p^2")
-        u = c // (q // order)
-        x = pow(s.unit * u, -1, order)
-        elem = _embedded(h.form, i, x)
-        value = pair(h.form, dual, elem)
-        if value != Fraction(1, order):
-            raise InconsistencyError(f"scc2 curve pairs to {value}, not 1/{order}")
-        out.append(Scc2Curve(i, elem, 1 if order == p * p else p))
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _is_surjective(chi: Character, k: int) -> bool:
-    # onto Z_k iff some value is a unit mod k (k is a prime power here)
-    p, _ = _prime_power(k)
-    values = [v % k for v in chi.free_values]
-    values += [v.numerator * (k // v.denominator) for v in chi.torsion_values]
-    return any(v % p for v in values)
+    return [Scc2Curve(i, elem, 1 if order == p * p else p)
+            for i, elem, _, order in _select(h.form, chi, (p, p * p))]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +433,10 @@ def parse_character(text: str, form: WallForm, free_rank: int = 0,
     if unknown:
         raise ValueError(f"unknown character sections {sorted(unknown)}")
     free = [int(v) for v in sections.get("free", [])]
-    tors = [Fraction(v) for v in sections.get("tors", [])]
+    try:
+        tors = [Fraction(v) for v in sections.get("tors", [])]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the character literal {text!r}")
     if len(free) != free_rank:
         raise ValueError(f"expected {free_rank} free values, got {len(free)}")
     if len(tors) != len(form.summands):

@@ -18,6 +18,7 @@ with the closed-form weights of hopf_points.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .cyclotomic import CycInt, CycNum, from_int, ring_modulus, root
@@ -333,23 +334,28 @@ def kappa_exponent(p: int) -> int:
     return -6 - p * (p + 1) // 2
 
 
+def kappa_root_exponent(p: int) -> int:
+    """t with kappa = zeta_N^t, a square root of A^e, e = kappa_exponent(p).
+
+    For p = 1 (mod 4), A = zeta_N^2 and t = e; else A = zeta_N, e is even
+    mod 2p and t = (e mod 2p)/2.  The sign is pinned only at p = 5, 7.
+    """
+    e = kappa_exponent(p)
+    return e if p % 4 == 1 else (e % (2 * p)) // 2
+
+
 @lru_cache(maxsize=None)
 def kappa(p: int) -> CycInt:
-    """Phase factor with kappa^2 = A^(-6 - p(p+1)/2).
+    """Phase factor zeta_N^t with kappa^2 = A^(-6 - p(p+1)/2)."""
+    return root(ring_modulus(p), kappa_root_exponent(p))
 
-    p = 5 and p = 7 use the pinned choices zeta20^(-1) and A^4.  For other
-    primes the returned square root follows the same reduction rule but the
-    sign is a documented choice, not canonical; see phase_pinned.
-    """
+
+def kappa_order(p: int) -> int:
+    """Multiplicative order of kappa = zeta_N^t, which is N / gcd(t, N)."""
     N = ring_modulus(p)
-    e = kappa_exponent(p)
-    if p % 4 == 1:
-        # A = zeta_N^2, so zeta_N^e squares to A^e
-        return root(N, e)
-    # ord(A) = 2p is even and e mod 2p is even, so halve the reduced exponent
-    return A_power(p, (e % (2 * p)) // 2)
+    return N // math.gcd(kappa_root_exponent(p), N)
 
 
 def phase_pinned(p: int) -> bool:
     """Whether the sign of kappa (and eta) is fixed rather than a choice."""
-    return p in (5, 7)
+    return p in _ETA_EXACT

@@ -6,6 +6,8 @@ here the Hopf bracket is resolved from an explicit diagram crossing by
 crossing, or summed from its binomial closed form with one exact division,
 and the satellite bracket is expanded in the z-basis, either over every
 cable-coefficient tuple or through the p-th power of the cable decoration.
+The order of kappa and the up-to-phase verdict are found by search over the
+powers of kappa, where the package reads both off kappa = zeta_N^t.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import itertools
 import math
 from functools import lru_cache
 
+from skeincalc.congruence import CongruenceVerdict, check_kappa_congruence
 from skeincalc.cyclotomic import CycInt, CycNum, divide_exact, from_int, ring_modulus
-from skeincalc.skein import A_power, SkeinElem, delta, twist
+from skeincalc.errors import InconsistencyError
+from skeincalc.skein import A_power, SkeinElem, delta, kappa, twist
 
 
 def numeric(x, N=None):
@@ -140,6 +144,33 @@ def satellite_direct(p: int, cable_decors, zero_decor) -> CycNum:
                 term = term * dec.coeffs[j]
             total = total + term * hopf_binomial(p, m + sum(combo))
     return total
+
+
+@lru_cache(maxsize=None)
+def kappa_order_by_search(p: int) -> int:
+    """Multiplicative order of kappa, found by iteration."""
+    k = kappa(p)
+    power = k
+    order = 1
+    while power != 1:
+        power = power * k
+        order += 1
+        if order > 4 * p:
+            raise InconsistencyError("kappa order exceeded the root-of-unity bound")
+    return order
+
+
+def phase_verdict_by_search(x, p: int) -> CongruenceVerdict:
+    """The strict test applied to x * kappa^j for each j < ord(kappa) in turn."""
+    if isinstance(x, CycNum):
+        x = x.as_integral()
+    checked = 0
+    for j in range(kappa_order_by_search(p)):
+        verdict = check_kappa_congruence(x * kappa(p) ** j, p)
+        checked += verdict.candidates_checked
+        if verdict.congruent:
+            return CongruenceVerdict(True, verdict.witness, checked)
+    return CongruenceVerdict(False, None, checked)
 
 
 def random_cycint(rng, N: int, lo: int = -9, hi: int = 9) -> CycInt:

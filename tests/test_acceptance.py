@@ -28,7 +28,7 @@ def _cold_caches():
     for fn in (skein.delta, skein.quantum_int, skein.chebyshev_e, skein.omega,
                skein._z_to_e_rows, skein.hopf_points, skein.hopf_bracket,
                skein.eta_squared, skein.kappa, invariants.cover_invariant_valuation,
-               congruence.kappa_order, congruence.kappa_residues):
+               congruence.kappa_residues):
         fn.cache_clear()
 
 

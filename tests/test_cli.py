@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skeincalc.cli import main
+from skeincalc.cli import MAX_N, main
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
 
@@ -118,7 +124,8 @@ def test_malformed_literals_exit_code(capsys):
     assert main(["homology", "--matrix", "1,2;3"]) == 2
     assert main(["cover", "analyze", "--form", "A24", "--char", "tors:0"]) == 2
     assert main(["cover", "analyze", "--form", "A25", "--char", "tors:1/5,0"]) == 2
-    capsys.readouterr()
+    assert main(["cover", "analyze", "--form", "A5", "--char", "tors:1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_deterministic_output(capsys):
@@ -215,3 +222,74 @@ def test_homology_matrix_with_leading_minus(capsys):
     code, out, _ = run(capsys, "homology", "--matrix=-1,0;0,1")
     assert code == 0
     assert out.strip() == "0"
+
+
+def run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "skeincalc", *argv],
+                          capture_output=True, text=True, timeout=10)
+
+
+def test_orbit_check_work_is_refused_before_enumeration():
+    # unrefused, each would enumerate for tens of seconds or without end
+    for argv in (("--p", "1000000007", "--colors", "3"),
+                 ("--p", "1000000000000000003", "--colors", "2"),
+                 ("--p", "3", "--colors", "1", "--trials", "100000000"),
+                 ("--p", "11", "--colors", "3")):
+        out = run_module("orbit-check", *argv)
+        assert out.returncode == 2, argv
+        assert "exceed the cap" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_hopf_n_cap():
+    out = run_module("hopf", "--p", "5", "--n", "200000")
+    assert out.returncode == 1
+    assert f"above the cap {MAX_N}" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+_GARBAGE = st.one_of(st.sampled_from(["", "x", "1.5", "--", "0x10", "nan", "1e3", "١٢"]),
+                     st.text("AB0123456789[]+-/,;:freestor ", max_size=12))
+_NUMBERS = st.one_of(st.sampled_from(["3", "5", "7", "11", "13"]), st.integers(-3, 13).map(str),
+                     st.sampled_from([str(10 ** 30), str(-10 ** 30)]), _GARBAGE)
+_ENTRIES = st.lists(st.one_of(st.builds("{}/{}".format, st.integers(-2, 30), st.integers(-1, 30)),
+                              _NUMBERS), max_size=3).map(",".join)
+_CLASSES = st.one_of(st.builds("tors:{}".format, _ENTRIES),
+                     st.builds("free:{};tors:{}".format, _ENTRIES, _ENTRIES), _GARBAGE)
+_FORMS = st.one_of(st.sampled_from(["A5", "A25", "A25+B5[2]", "A5+A5", "B25[3]", "A5[", "A1",
+                                    "A0", "A-5", "A5+A7", "A3000000021"]), _GARBAGE)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["invariant", "hopf", "valuation", "homology",
+                                    "cover", "orbit-check"]))
+    if command == "homology":
+        rows = draw(st.lists(_ENTRIES, max_size=3))
+        return ["homology", "--matrix=" + draw(st.one_of(st.just(";".join(rows)), _GARBAGE))]
+    if command == "cover":
+        argv = ["cover", "analyze", "--form", draw(_FORMS), "--char", draw(_CLASSES),
+                "--curves", draw(_CLASSES)]
+        return argv + draw(st.sampled_from([[], ["--order", "25"], ["--free-rank", "1"]]))
+    argv = [command, "--p", draw(_NUMBERS)]
+    if command == "hopf":
+        argv += ["--n", draw(_NUMBERS)]
+    if command == "orbit-check":
+        argv += ["--colors", draw(_NUMBERS), "--trials", draw(_NUMBERS)]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(command_lines())
+# inputs that once printed a traceback or ran without end
+@example(["cover", "analyze", "--form", "A5", "--char", "tors:1/0"])
+@example(["hopf", "--p", "5", "--n", "200000"])
+@example(["orbit-check", "--p", "3", "--colors", "1", "--trials", "100000000"])
+def test_cli_fuzz_exits_cleanly(argv):
+    # any input ends in exit 0, 1 or 2; an uncaught exception fails the test
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

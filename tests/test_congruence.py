@@ -11,18 +11,22 @@ from skeincalc.congruence import (
     kappa_residues,
     necklace_orbits,
     orbit_congruence_check,
+    orbit_sequence_count,
 )
-from skeincalc.cyclotomic import CycNum, from_int, mod_p, one, ring_modulus
-from skeincalc.errors import NonIntegralError, TooLargeError
+from skeincalc.cyclotomic import CycInt, CycNum, from_int, is_prime, mod_p, one, ring_modulus
+from skeincalc.errors import ModulusMismatchError, NonIntegralError, TooLargeError
 from skeincalc.invariants import cover_invariant
 from skeincalc.skein import kappa
 
-from oracles import random_cycint
+from oracles import kappa_order_by_search, phase_verdict_by_search, random_cycint
 
 
 def test_kappa_order():
     assert kappa_order(5) == 20  # zeta20^-1
     assert kappa_order(7) == 7   # A^4 with A of order 14
+    for p in range(3, 110):
+        if is_prime(p):
+            assert kappa_order(p) == kappa_order_by_search(p), p
 
 
 def test_kappa_residue_list():
@@ -77,6 +81,37 @@ def test_phase_orbit_verdict_matches_strict():
                 == check_kappa_congruence_up_to_phase(x, 5).congruent)
 
 
+def test_phase_verdict_matches_search_field_by_field():
+    rng = random.Random(49)
+    seen = set()
+    for p in range(5, 44):
+        if not is_prime(p):
+            continue
+        N = ring_modulus(p)
+        planted = (kappa(p) ** rng.randrange(kappa_order(p)) * rng.randrange(p)
+                   + random_cycint(rng, N) * p)
+        for x in (planted, random_cycint(rng, N)):
+            got = check_kappa_congruence_up_to_phase(x, p)
+            want = phase_verdict_by_search(x, p)
+            assert got.to_json() == want.to_json(), (p, x)
+            seen.add(got.congruent)
+        assert check_kappa_congruence_up_to_phase(planted, p).congruent
+    assert seen == {True, False}  # both branches were compared
+
+
+def test_int_input_is_taken_into_the_ring():
+    for check in (check_kappa_congruence, check_kappa_congruence_up_to_phase):
+        v = check(3, 5)
+        assert v.congruent and v.witness == (0, 3) and v.candidates_checked == 100
+
+
+def test_element_of_another_ring_is_refused():
+    x = CycInt(14, [1, 0, 0, 0, 0, 0])
+    for check in (check_kappa_congruence, check_kappa_congruence_up_to_phase):
+        with pytest.raises(ModulusMismatchError):
+            check(x, 5)
+
+
 def test_cm_bound_values():
     assert cm_bound(5) == 1
     assert cm_bound(7) == 2
@@ -119,6 +154,19 @@ def test_orbit_check_randomized_ring_instances():
 def test_orbit_check_cap():
     with pytest.raises(TooLargeError):
         orbit_congruence_check([1] * 10, {}, 11)  # 10^11 sequences
+
+
+def test_orbit_work_cap():
+    # the largest orbit check the benchmark runs: p = 7, 3 colors, 2 trials
+    assert orbit_sequence_count(3, 7, trials=2) == 3 ** 7
+    assert orbit_sequence_count(1, 3, trials=1000) == 1
+    for colors, p, trials in ((3, 11, 1), (1, 3, 10 ** 8), (1, 1000000007, 1),
+                              (2, 1000000000000000003, 1), (10 ** 30, 3, 1)):
+        with pytest.raises(TooLargeError):
+            orbit_sequence_count(colors, p, trials)
+    for colors, trials in ((0, 1), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError):
+            orbit_sequence_count(colors, 5, trials)
 
 
 def test_canonical_orbit():
