@@ -21,6 +21,13 @@ from .errors import CalcError, TooLargeError
 MAX_P = 101
 # the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 3 s
 MAX_N = 1000
+# the most rows or columns that homology accepts: a random 60x60 matrix takes
+# about 0.1 s with one-digit entries and up to 3.6 s with the 33-digit entries
+# that fill a 128 KiB argument
+MAX_MATRIX_DIM = 60
+# the most digits homology prints in one invariant factor, below Python's
+# 4,300-digit limit on converting an int to text
+MAX_FACTOR_DIGITS = 4000
 
 
 def _prime_arg(min_p: int):
@@ -203,7 +210,10 @@ def _cmd_homology(args) -> int:
         matrix = _parse_matrix(args.matrix)
     except ValueError as exc:
         return _arg_error(f"bad matrix literal: {exc}")
+    _check_cap("matrix dimension", max(len(matrix), len(matrix[0])), MAX_MATRIX_DIM)
     group = invariants.homology_from_matrix(matrix)
+    if group.torsion and group.torsion[-1] >= 10 ** MAX_FACTOR_DIGITS:
+        raise TooLargeError(f"an invariant factor has more than {MAX_FACTOR_DIGITS} digits")
     record = {"matrix": args.matrix, "homology": group.to_json()}
     _emit(args, record, [str(group)])
     return 0

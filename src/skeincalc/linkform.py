@@ -70,12 +70,6 @@ class WallForm:
     def orders(self) -> tuple[int, ...]:
         return tuple(self.order(i) for i in range(len(self.summands)))
 
-    def group_order(self) -> int:
-        out = 1
-        for q in self.orders:
-            out *= q
-        return out
-
     def elements(self):
         """Every TorsionElement, in lexicographic order (for exhaustive tests)."""
         def rec(i):
@@ -362,13 +356,25 @@ def _iroot(q: int, t: int) -> int:
         r = s
 
 
+def _primorial(limit: int) -> int:
+    """The product of the primes below limit, by a sieve."""
+    sieve = bytearray([1]) * limit
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return math.prod(i for i in range(2, limit) if sieve[i])
+
+
+_SMALL_PRIMES = _primorial(1 << 10)
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    # a prime factor below 2**10 is found by division; otherwise q = p**t
+    # for q = p**t with p below 2**10 the gcd is p; when it is 1, q = p**t
     # with p > 2**10, so t <= bits / 10, and the largest such t gives p
-    p = next((f for f in range(2, min(1 << 10, math.isqrt(q) + 1)) if q % f == 0), None)
-    if p is None:
+    p = math.gcd(q, _SMALL_PRIMES)
+    if p == 1:
         t = next(t for t in range(max(q.bit_length() // 10, 1), 0, -1) if _iroot(q, t) ** t == q)
         p = _iroot(q, t)
     else:

@@ -7,7 +7,11 @@ crossing, or summed from its binomial closed form with one exact division,
 and the satellite bracket is expanded in the z-basis, either over every
 cable-coefficient tuple or through the p-th power of the cable decoration.
 The order of kappa and the up-to-phase verdict are found by search over the
-powers of kappa, where the package reads both off kappa = zeta_N^t.
+powers of kappa, where the package reads both off kappa = zeta_N^t.  The
+Smith form pivots on the least nonzero entry of the whole submatrix with row
+and column operations, where the package clears one column at a time by
+Euclid on the rows; a prime-power order is factored by trial division, where
+the package takes one gcd with a product of small primes.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import math
 from functools import lru_cache
 
 from skeincalc.congruence import CongruenceVerdict, check_kappa_congruence
-from skeincalc.cyclotomic import CycInt, CycNum, divide_exact, from_int, ring_modulus
+from skeincalc.cyclotomic import CycInt, CycNum, divide_exact, from_int, is_prime, ring_modulus
 from skeincalc.errors import InconsistencyError
+from skeincalc.linkform import _iroot
 from skeincalc.skein import A_power, SkeinElem, delta, kappa, twist
 
 
@@ -182,3 +187,89 @@ def random_skein(rng, p: int, max_degree: int = 3) -> SkeinElem:
     N = ring_modulus(p)
     deg = rng.randint(0, max_degree)
     return SkeinElem(p, [random_cycint(rng, N, -4, 4) for _ in range(deg + 1)])
+
+
+def smith_by_min_pivot(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(D, U, V) with U*mat*V = D, by pivoting on the least nonzero entry.
+
+    D is diagonal with nonnegative entries and each diagonal entry divides
+    the next.
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    D = [[int(x) for x in row] for row in mat]
+    if any(len(row) != n for row in D):
+        raise ValueError("matrix rows have unequal lengths")
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(a, b):
+        D[a], D[b] = D[b], D[a]
+        U[a], U[b] = U[b], U[a]
+
+    def swap_cols(a, b):
+        for row in D:
+            row[a], row[b] = row[b], row[a]
+        for row in V:
+            row[a], row[b] = row[b], row[a]
+
+    def add_row(dst, src, c):
+        D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(dst, src, c):
+        for row in D:
+            row[dst] += c * row[src]
+        for row in V:
+            row[dst] += c * row[src]
+
+    for t in range(min(m, n)):
+        while True:
+            entries = [(abs(D[i][j]), i, j)
+                       for i in range(t, m) for j in range(t, n) if D[i][j]]
+            if not entries:
+                break
+            _, pi, pj = min(entries)
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            clean = True
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    add_row(i, t, -(D[i][t] // D[t][t]))
+                    if D[i][t]:
+                        clean = False
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    add_col(j, t, -(D[t][j] // D[t][t]))
+                    if D[t][j]:
+                        clean = False
+            if not clean:
+                continue
+            # pivot isolated; pull in any entry it does not divide and redo
+            pivot = D[t][t]
+            culprit = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
+                            if D[i][j] % pivot), None)
+            if culprit is None:
+                break
+            add_row(t, culprit[0], 1)
+        if t < m and t < n and D[t][t] < 0:
+            D[t] = [-x for x in D[t]]
+            U[t] = [-x for x in U[t]]
+    return D, U, V
+
+
+def prime_power_by_trial_division(q: int) -> tuple[int, int]:
+    """(p, t) with q = p**t, finding a prime factor below 2**10 by division."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((f for f in range(2, min(1 << 10, math.isqrt(q) + 1)) if q % f == 0), None)
+    if p is None:
+        t = next(t for t in range(max(q.bit_length() // 10, 1), 0, -1) if _iroot(q, t) ** t == q)
+        p = _iroot(q, t)
+    else:
+        t = round(math.log(q, p))
+    if p ** t != q or not is_prime(p):
+        raise ValueError("summand order must be a prime power")
+    return p, t

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skeincalc.cli import MAX_N, main
+from skeincalc.cli import MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, main
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
 
@@ -248,6 +249,30 @@ def test_hopf_n_cap():
     assert "Traceback" not in out.stderr
 
 
+# two coprime factors of 4,001 digits: their product does not fit the
+# 4,300-digit limit on int-to-text conversion
+_HUGE_FACTORS = f"{10 ** 4000 + 1},0;0,{10 ** 4000 + 3}"
+
+
+def test_homology_caps():
+    rng = random.Random(100)
+    rows = [[rng.randint(-9, 9) for _ in range(100)] for _ in range(100)]
+    # without the caps, the 100x100 matrix runs for seconds to minutes and
+    # the 4,001-digit factors end in a traceback from str(int)
+    for literal, message in (
+            (";".join(",".join(map(str, row)) for row in rows),
+             f"matrix dimension=100 is above the cap {MAX_MATRIX_DIM}"),
+            (";".join(["1"] * (MAX_MATRIX_DIM + 1)),
+             f"matrix dimension={MAX_MATRIX_DIM + 1} is above the cap"),
+            (_HUGE_FACTORS, f"more than {MAX_FACTOR_DIGITS} digits")):
+        for fmt in ((), ("--json",)):
+            out = run_module("homology", f"--matrix={literal}", *fmt)
+            assert out.returncode == 1, literal[:40]
+            assert message in out.stderr
+            assert "Traceback" not in out.stderr
+            assert out.stdout == ""
+
+
 _GARBAGE = st.one_of(st.sampled_from(["", "x", "1.5", "--", "0x10", "nan", "1e3", "١٢"]),
                      st.text("AB0123456789[]+-/,;:freestor ", max_size=12))
 _NUMBERS = st.one_of(st.sampled_from(["3", "5", "7", "11", "13"]), st.integers(-3, 13).map(str),
@@ -266,7 +291,11 @@ def command_lines(draw):
                                     "cover", "orbit-check"]))
     if command == "homology":
         rows = draw(st.lists(_ENTRIES, max_size=3))
-        return ["homology", "--matrix=" + draw(st.one_of(st.just(";".join(rows)), _GARBAGE))]
+        oversized = st.builds(lambda m, n, x: ";".join([",".join([x] * n)] * m),
+                              st.integers(1, 2 * MAX_MATRIX_DIM), st.integers(1, 2 * MAX_MATRIX_DIM),
+                              st.sampled_from(["0", "1", "-7", str(10 ** 40)]))
+        literal = st.one_of(st.just(";".join(rows)), _GARBAGE, oversized, st.just(_HUGE_FACTORS))
+        return ["homology", "--matrix=" + draw(literal)]
     if command == "cover":
         argv = ["cover", "analyze", "--form", draw(_FORMS), "--char", draw(_CLASSES),
                 "--curves", draw(_CLASSES)]
@@ -285,6 +314,7 @@ def command_lines(draw):
 @example(["cover", "analyze", "--form", "A5", "--char", "tors:1/0"])
 @example(["hopf", "--p", "5", "--n", "200000"])
 @example(["orbit-check", "--p", "3", "--colors", "1", "--trials", "100000000"])
+@example(["homology", "--matrix=" + _HUGE_FACTORS])
 def test_cli_fuzz_exits_cleanly(argv):
     # any input ends in exit 0, 1 or 2; an uncaught exception fails the test
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

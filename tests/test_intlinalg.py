@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import smith_by_min_pivot
 from skeincalc.intlinalg import cokernel, diagonal_entries, smith_normal_form, solve
 
 
@@ -91,3 +95,110 @@ def test_solve_edge_shapes():
     assert solve([], []) == []
     assert solve([[0, 0]], [0]) == [0, 0]
     assert solve([[0]], [3]) is None
+
+
+def det(a):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in a]
+    out = Fraction(1)
+    for c in range(len(a)):
+        r = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            out = -out
+        out *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return out
+
+
+def oracle_cases():
+    """Benchmark-shaped, rectangular and degenerate matrices, seeded."""
+    rng = random.Random(11)
+    cases = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0]], [[2, 0], [0, 3]],
+             [[0, 0], [0, 5]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]]]
+    for k in range(400):
+        if k % 2:
+            # as perfbench draws them: 4x4 to 8x8, one in four singular
+            n = rng.randint(4, 8)
+            a = random_matrix(rng, n, n, 20)
+            if rng.random() < 0.25:
+                x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+                a[-1] = [x * u + y * v for u, v in zip(a[0], a[1])]
+        else:
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            a = random_matrix(rng, m, n, rng.choice([1, 3, 30]))
+            if rng.random() < 0.3:
+                a[rng.randrange(m)] = [0] * n
+            if rng.random() < 0.3:
+                j = rng.randrange(n)
+                for row in a:
+                    row[j] = 0
+        cases.append(a)
+    return cases
+
+
+def oracle_diagonal(a):
+    d, _, _ = smith_by_min_pivot(a)
+    return [d[i][i] for i in range(min(len(a), len(a[0]) if a else 0)) if d[i][i]]
+
+
+def oracle_solvable(a, b):
+    d, u, _ = smith_by_min_pivot(a)
+    n = len(a[0]) if a else 0
+    c = [sum(x * y for x, y in zip(row, b)) for row in u]
+    return all(c[i] % d[i][i] == 0 if i < n and d[i][i] else c[i] == 0 for i in range(len(c)))
+
+
+def test_diagonal_cokernel_and_smith_form_match_the_min_pivot_oracle():
+    for a in oracle_cases():
+        diag = oracle_diagonal(a)
+        assert diagonal_entries(a) == diag, a
+        assert cokernel(a) == (len(a) - len(diag), [x for x in diag if x > 1]), a
+        assert smith_normal_form(a)[0] == smith_by_min_pivot(a)[0], a
+
+
+def test_solve_verdict_matches_the_min_pivot_oracle():
+    rng = random.Random(12)
+    seen = set()
+    for a in oracle_cases():
+        n = len(a[0]) if a else 0
+        planted = [sum(x * y for x, y in zip(row, [rng.randint(-4, 4) for _ in range(n)]))
+                   for row in a]
+        for b in (planted, [rng.randint(-30, 30) for _ in a]):
+            got = solve(a, b)
+            assert (got is not None) == oracle_solvable(a, b), (a, b)
+            if got is not None:
+                assert [sum(x * y for x, y in zip(row, got)) for row in a] == b
+            seen.add(got is not None)
+    assert seen == {True, False}
+
+
+def _matrices(m, n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.tuples(st.integers(1, 6), st.integers(0, 6)).flatmap(
+    lambda mn: _matrices(*mn, st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30)))))
+@example([[2, 0], [0, 3]])
+@example([[4, 0, 0], [0, 6, 0], [0, 0, 0]])
+@example([[0, 0], [0, 0]])
+@example([[]])
+def test_smith_form_property(a):
+    # U*M*V == D, U and V unimodular, D diagonal with a divisibility chain
+    m, n = len(a), len(a[0])
+    d, u, v = smith_normal_form(a)
+    assert len(u) == m and all(len(row) == m for row in u)
+    assert len(v) == n and all(len(row) == n for row in v)
+    product = mat_mul(mat_mul(u, a), v) if n else [[] for _ in a]
+    assert product == d
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [d[i][i] for i in range(min(m, n))]
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert (y % x == 0) if x else (y == 0)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import prime_power_by_trial_division
+from skeincalc.cyclotomic import is_prime
 from skeincalc.errors import CharacterDomainError
 from skeincalc.linkform import (
     Character,
@@ -12,6 +14,7 @@ from skeincalc.linkform import (
     Scc2Curve,
     TorsionElement,
     WallForm,
+    _prime_power,
     complement_simple,
     dual_element,
     format_form,
@@ -360,3 +363,23 @@ def test_parse_errors():
         parse_character("bogus:1", form)
     with pytest.raises(ValueError):
         parse_curve("free:1;tors:0", form, free_rank=0)
+
+
+def _factor_or_error(f, q):
+    try:
+        return f(q)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_prime_power_matches_trial_division():
+    # every q below 10^5, and p^t for the primes below 10^4 that perfbench's
+    # Wall forms are drawn from
+    primes = [p for p in range(3, 10 ** 4) if is_prime(p)]
+    powers = [p ** t for p in primes for t in (1, 2, 3)]
+    accepted = 0
+    for q in list(range(10 ** 5)) + powers:
+        got = _factor_or_error(_prime_power, q)
+        assert got == _factor_or_error(prime_power_by_trial_division, q), q
+        accepted += isinstance(got, tuple)
+    assert accepted > len(powers)
