@@ -1,5 +1,5 @@
-"""Residue tests modulo p·O_p: the kappa^m * n list, membership verdicts,
-the quadratic valuation bound, and the shift-orbit collapse congruence.
+"""Residue tests modulo p·O_p: the table of n*kappa^m by line, membership
+verdicts, the quadratic valuation bound, and the shift-orbit collapse congruence.
 
 All verdicts are exact: residues are coefficient vectors in O_p / p·O_p,
 which is well defined because the ring has a power basis.  kappa is the
@@ -11,9 +11,18 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .cyclotomic import CycInt, CycNum, ResidueClass, from_int, mod_p, ring_modulus
+from .cyclotomic import (
+    CycInt,
+    CycNum,
+    ResidueClass,
+    _residue,
+    from_int,
+    mod_p,
+    ring_modulus,
+    root,
+)
 from .errors import ModulusMismatchError, TooLargeError
-from .skein import kappa, kappa_order
+from .skein import kappa_order, kappa_root_exponent
 
 # cap on orbit_sequence_count's work; the slowest accepted CLI call takes
 # about 3 s on 2 CPUs
@@ -40,26 +49,46 @@ class CongruenceVerdict:
                 "candidates_checked": self.candidates_checked}
 
 
+def _line(r: ResidueClass) -> tuple[int, ResidueClass]:
+    """(c, key) with r = c * key and the first nonzero coefficient of key 1.
+
+    r is not zero; key names the line F_p^* * r.
+    """
+    c = next(a for a in r.coeffs if a)
+    inv = pow(c, -1, r.p)
+    return c, _residue(r.modulus, r.p, [a * inv for a in r.coeffs])
+
+
 @lru_cache(maxsize=None)
 def kappa_residues(p: int) -> dict:
-    """All residues of n*kappa^m mod p, keyed to their first witness (m, n).
+    """The residues n*kappa^m mod p, one entry per line F_p^* * kappa^m.
 
-    m runs over 0 <= m < ord(kappa), n over 0 <= n < p; larger m, n only
-    repeat these residues.
+    For 0 < n < p the residues n*kappa^m fill the line through kappa^m, so
+    each line is keyed by its point whose first nonzero coefficient is 1,
+    and maps to (m, u): m is the least exponent on the line and
+    residue(kappa^m) = u * key.  The zero residue is keyed to (0, 0).
+    kappa^m is zeta_N^(t*m), so the table has at most ord(kappa) + 1
+    entries and takes no ring product to build.
     """
-    out: dict[ResidueClass, tuple[int, int]] = {}
-    power = from_int(ring_modulus(p), 1)
+    N = ring_modulus(p)
+    t = kappa_root_exponent(p)
+    out: dict[ResidueClass, tuple[int, int]] = {mod_p(from_int(N, 0), p): (0, 0)}
     for m in range(kappa_order(p)):
-        for n in range(p):
-            out.setdefault(mod_p(power * n, p), (m, n))
-        power = power * kappa(p)
+        u, key = _line(mod_p(root(N, t * m), p))
+        out.setdefault(key, (m, u))
     return out
 
 
 def check_kappa_congruence(x, p: int) -> CongruenceVerdict:
-    """Is x congruent to some kappa^m * n mod p*O_p?  Witness reports reduced
-    (m, n).  x is an int, an element of the ring at p, or a CycNum that must
-    reduce to denominator exponent zero."""
+    """Is x congruent to some kappa^m * n mod p*O_p?  Witness reports the
+    first (m, n) with 0 <= m < ord(kappa), 0 <= n < p, m before n.  x is an
+    int, an element of the ring at p, or a CycNum that must reduce to
+    denominator exponent zero.
+
+    A nonzero residue c * key lies on the line of its key, whose entry
+    (m, u) gives the least m and then n = c / u mod p; lines of distinct
+    keys are disjoint, and on one line each m has a single n.
+    """
     N = ring_modulus(p)
     if isinstance(x, CycNum):
         x = x.as_integral()
@@ -67,7 +96,13 @@ def check_kappa_congruence(x, p: int) -> CongruenceVerdict:
         x = from_int(N, x)
     elif x.modulus != N:
         raise ModulusMismatchError(f"x is in Z[zeta_{x.modulus}], not Z[zeta_{N}]")
-    witness = kappa_residues(p).get(mod_p(x, p))
+    r = mod_p(x, p)
+    if r.is_zero:
+        witness = (0, 0)
+    else:
+        c, key = _line(r)
+        line = kappa_residues(p).get(key)
+        witness = None if line is None else (line[0], c * pow(line[1], -1, p) % p)
     return CongruenceVerdict(witness is not None, witness, kappa_order(p) * p)
 
 

@@ -7,7 +7,9 @@ crossing, or summed from its binomial closed form with one exact division,
 and the satellite bracket is expanded in the z-basis, either over every
 cable-coefficient tuple or through the p-th power of the cable decoration.
 The order of kappa and the up-to-phase verdict are found by search over the
-powers of kappa, where the package reads both off kappa = zeta_N^t.  The
+powers of kappa, where the package reads both off kappa = zeta_N^t; the
+strict verdict looks x up in every residue n*kappa^m, built by ring products,
+where the package keeps one entry per line F_p^* * kappa^m.  The
 Smith form pivots on the least nonzero entry of the whole submatrix with row
 and column operations, where the package clears one column at a time by
 Euclid on the rows; a prime-power order is factored by trial division, where
@@ -21,11 +23,20 @@ import itertools
 import math
 from functools import lru_cache
 
-from skeincalc.congruence import CongruenceVerdict, check_kappa_congruence
-from skeincalc.cyclotomic import CycInt, CycNum, divide_exact, from_int, is_prime, ring_modulus
+from skeincalc.congruence import CongruenceVerdict
+from skeincalc.cyclotomic import (
+    CycInt,
+    CycNum,
+    ResidueClass,
+    divide_exact,
+    from_int,
+    is_prime,
+    mod_p,
+    ring_modulus,
+)
 from skeincalc.errors import InconsistencyError
 from skeincalc.linkform import _iroot
-from skeincalc.skein import A_power, SkeinElem, delta, kappa, twist
+from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order, twist
 
 
 def numeric(x, N=None):
@@ -165,16 +176,39 @@ def kappa_order_by_search(p: int) -> int:
     return order
 
 
+@lru_cache(maxsize=None)
+def kappa_residues_by_enumeration(p: int) -> dict:
+    """All residues of n*kappa^m mod p, keyed to their first witness (m, n).
+
+    m runs over 0 <= m < ord(kappa), n over 0 <= n < p; larger m, n only
+    repeat these residues.
+    """
+    out: dict[ResidueClass, tuple[int, int]] = {}
+    power = from_int(ring_modulus(p), 1)
+    for m in range(kappa_order(p)):
+        for n in range(p):
+            out.setdefault(mod_p(power * n, p), (m, n))
+        power = power * kappa(p)
+    return out
+
+
+def verdict_by_enumeration(x, p: int) -> CongruenceVerdict:
+    """The strict verdict: x's residue looked up among every n*kappa^m."""
+    witness = kappa_residues_by_enumeration(p).get(mod_p(x, p))
+    return CongruenceVerdict(witness is not None, witness, kappa_order_by_search(p) * p)
+
+
 def phase_verdict_by_search(x, p: int) -> CongruenceVerdict:
     """The strict test applied to x * kappa^j for each j < ord(kappa) in turn."""
     if isinstance(x, CycNum):
         x = x.as_integral()
     checked = 0
-    for j in range(kappa_order_by_search(p)):
-        verdict = check_kappa_congruence(x * kappa(p) ** j, p)
+    for _ in range(kappa_order_by_search(p)):
+        verdict = verdict_by_enumeration(x, p)
         checked += verdict.candidates_checked
         if verdict.congruent:
             return CongruenceVerdict(True, verdict.witness, checked)
+        x = x * kappa(p)
     return CongruenceVerdict(False, None, checked)
 
 

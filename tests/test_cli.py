@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +15,22 @@ from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
 
 
+# stdout of every pinned benchmark call, keyed by its space-joined argv
+CLI_PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_stdout_is_byte_identical_to_every_pin(capsys):
+    pins = json.loads(CLI_PINS.read_text(encoding="utf-8"))["cli"]
+    assert "invariant --p 5" in pins and "invariant --p 7 --json" in pins
+    for key, want in pins.items():
+        code, out, _ = run(capsys, *key.split(" "))
+        assert (code, out) == (0, want), key
 
 
 def test_invariant_p5_text(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,12 @@ from skeincalc.errors import ModulusMismatchError, NonIntegralError, TooLargeErr
 from skeincalc.invariants import cover_invariant
 from skeincalc.skein import kappa
 
-from oracles import kappa_order_by_search, phase_verdict_by_search, random_cycint
+from oracles import (
+    kappa_order_by_search,
+    phase_verdict_by_search,
+    random_cycint,
+    verdict_by_enumeration,
+)
 
 
 def test_kappa_order():
@@ -34,8 +40,50 @@ def test_kappa_residue_list():
     assert len(res) <= 100
     zero_residue = mod_p(from_int(20, 0), 5)
     assert res[zero_residue] == (0, 0)
-    # constructed member: 2 kappa^3
-    assert res[mod_p(kappa(5) ** 3 * 2, 5)] == (3, 2)
+    # constructed member 2 kappa^3: its line key has first nonzero coefficient 1
+    r = mod_p(kappa(5) ** 3 * 2, 5)
+    c = next(a for a in r.coeffs if a)
+    m, u = res[mod_p(CycInt(20, [a * pow(c, -1, 5) for a in r.coeffs]), 5)]
+    assert m == 3 and c * pow(u, -1, 5) % 5 == 2
+
+
+def test_checks_match_enumeration_oracle():
+    rng = random.Random(50)
+    for p in range(3, 44):
+        if not is_prime(p):
+            continue
+        N = ring_modulus(p)
+        elements = []
+        power = from_int(N, 1)
+        for m in range(kappa_order(p)):
+            y = random_cycint(rng, N) * p
+            elements += [power * n + y for n in range(p)]
+            power = power * kappa(p)
+        members = len(elements)
+        elements += [random_cycint(rng, N) for _ in range(200)]
+        for i, x in enumerate(elements):
+            want = verdict_by_enumeration(x, p)
+            assert check_kappa_congruence(x, p).to_json() == want.to_json(), (p, x)
+            phase = check_kappa_congruence_up_to_phase(x, p).to_json()
+            if i < members + 8:
+                assert phase == phase_verdict_by_search(x, p).to_json(), (p, x)
+            else:
+                # past the first 8 random elements the search is too slow;
+                # a failed phase check tries every power of kappa
+                if not want.congruent:
+                    want.candidates_checked *= kappa_order_by_search(p)
+                assert phase == want.to_json(), (p, x)
+        assert len(kappa_residues(p)) <= kappa_order(p) + 1
+
+
+def test_residue_tables_build_cold_in_time():
+    primes = [p for p in range(5, 44) if is_prime(p)]
+    kappa_residues.cache_clear()
+    start = time.perf_counter()
+    for p in primes:
+        kappa_residues(p)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.15, elapsed
 
 
 def test_verdicts_for_the_two_invariants():

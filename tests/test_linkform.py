@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import prime_power_by_trial_division
 from skeincalc.cyclotomic import is_prime
@@ -86,6 +88,31 @@ def test_dual_element_round_trip_exhaustive():
         for c in form.elements():
             chi_values = [pair(form, c, g) for g in gens]
             assert dual_element(form, chi_values) == c.reduced(form)
+
+
+@st.composite
+def forms_with_element(draw):
+    """A Wall form of 1-4 summands, exponents <= 3, and one of its elements."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 101, 9973]))
+    summands = []
+    for _ in range(draw(st.integers(1, 4))):
+        t, kind = draw(st.integers(1, 3)), draw(st.sampled_from("AB"))
+        # a non-square unit mod p^t: the least non-residue times a unit square
+        s = draw(st.integers(1, p ** t - 1).filter(lambda s: s % p))
+        summands.append((t, kind, smallest_nonresidue(p) * s * s if kind == "B" else 1))
+    form = WallForm(p, summands)
+    return form, TorsionElement([draw(st.integers(0, q - 1)) for q in form.orders])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(forms_with_element())
+def test_dual_element_round_trip_on_random_forms(case):
+    form, c = case
+    gens = generators(form)
+    assert dual_element(form, [pair(form, c, g) for g in gens]) == c
+    values = [Fraction(x, q) for x, q in zip(c.values, form.orders)]
+    d = dual_element(form, values)
+    assert [pair(form, d, g) for g in gens] == values
 
 
 def test_dual_element_examples():

@@ -1,4 +1,5 @@
-"""Property tests for the norm-based division, inversion and valuation.
+"""Property tests for the ring axioms and the norm-based division,
+inversion and valuation, on both ring shapes N = 2p and N = 4p.
 
 Every expected value is built from ring multiplication alone, so these
 checks do not share the Galois-norm path they test.
@@ -10,11 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeincalc.cyclotomic import CycInt, divide_exact, euler_phi, invert_p_power, one, root, valuation
+from skeincalc.cyclotomic import (
+    CycInt,
+    divide_exact,
+    euler_phi,
+    invert_p_power,
+    one,
+    root,
+    valuation,
+    zero,
+)
 from skeincalc.errors import ExactDivisionError
 
 # conductor N -> the odd prime p with zeta_p in Z[zeta_N]
 RINGS = {14: 7, 20: 5, 22: 11, 52: 13}
+# N = 4p, p = 1 (mod 4): p splits in Z[i], so (1 - zeta_p) is a product of two primes
+SPLIT = {20, 52}
 
 norm_settings = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -36,6 +48,17 @@ def ring_with(*parts):
 def pi_power(N, p, j):
     pi = one(N) - root(N, N // p)
     return pi ** j
+
+
+@norm_settings
+@given(ring_with(elements, elements, elements))
+def test_ring_axioms(case):
+    N, _, x, y, z = case
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert x + zero(N) == x and x + (-x) == zero(N) and x - y == x + (-y)
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * one(N) == x and x * zero(N) == zero(N)
+    assert x * (y + z) == x * y + x * z
 
 
 @norm_settings
@@ -70,3 +93,27 @@ def test_invert_p_power_of_root_times_pi_power(case):
 def test_valuation_counts_pi_factors(case):
     N, p, x, j = case
     assert valuation(x * pi_power(N, p, j), p) == valuation(x, p) + j
+
+
+@norm_settings
+@given(ring_with(lambda N: elements(N, nonzero=True), lambda N: elements(N, nonzero=True),
+                 lambda N: st.integers(0, 2 * RINGS[N]), lambda N: st.integers(0, 2 * RINGS[N])))
+def test_valuation_of_products_and_sums(case):
+    N, p, a, b, i, j = case
+    x, y = a * pi_power(N, p, i), b * pi_power(N, p, j)
+    vx, vy, vxy = valuation(x, p), valuation(y, p), valuation(x * y, p)
+    if N in SPLIT:
+        assert vxy >= vx + vy
+    else:
+        assert vxy == vx + vy
+    assert valuation(x + y, p) >= min(vx, vy)
+
+
+def test_valuation_is_not_additive_where_the_prime_splits():
+    # p = (a + bi)(a - bi): each factor lies in only one prime above (1 - zeta_p)
+    for N, a, b in ((20, 2, 1), (52, 3, 2)):
+        p = RINGS[N]
+        i = root(N, N // 4)
+        x, y = i * b + a, -i * b + a
+        assert valuation(x, p) == valuation(y, p) == 0
+        assert x * y == p and valuation(x * y, p) == p - 1
