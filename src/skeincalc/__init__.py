@@ -5,7 +5,12 @@ All arithmetic is pure Python over exact integers.  Ring products go
 through one coefficient kernel, cyclotomic.mul_reduce; exact division,
 inversion up to a power of p and the (1 - zeta_p)-adic valuation reduce to
 ring products through the Galois norm and the (1 - zeta_p) cofactor.
+
+Importing the package loads only the ring and the errors; every other layer
+loads on first access to one of its names or to the submodule (PEP 562).
 """
+
+import importlib
 
 from .cyclotomic import (
     CycInt,
@@ -18,62 +23,41 @@ from .cyclotomic import (
     root,
     valuation,
 )
-from .skein import (
-    SkeinElem,
-    chebyshev_e,
-    delta,
-    eta,
-    eta_squared,
-    hopf_bracket,
-    kappa,
-    omega,
-    plane_eval,
-    quantum_int,
-    twist,
-)
-from .invariants import (
-    AbelianGroup,
-    HopfSatellite,
-    bracket_satellite,
-    cover_invariant,
-    cover_invariant_valuation,
-    homology_from_matrix,
-    linking_matrix,
-)
-from .congruence import (
-    CongruenceVerdict,
-    check_kappa_congruence,
-    cm_bound,
-    kappa_order,
-    kappa_residues,
-    orbit_congruence_check,
-)
-from .linkform import (
-    Character,
-    CurveClass,
-    Homology1,
-    TorsionElement,
-    WallForm,
-    complement_simple,
-    dual_element,
-    is_simple,
-    pair,
-    scc2_curves,
-    scc_curves,
-)
 
 __version__ = "0.1.0"
 
+# every other public name, keyed to the module it is read from on first access
+_LAZY = {
+    "skein": ("SkeinElem", "chebyshev_e", "delta", "eta", "eta_squared",
+              "hopf_bracket", "kappa", "omega", "plane_eval", "quantum_int", "twist"),
+    "invariants": ("AbelianGroup", "HopfSatellite", "bracket_satellite",
+                   "cover_invariant", "cover_invariant_valuation",
+                   "homology_from_matrix", "linking_matrix"),
+    "congruence": ("CongruenceVerdict", "check_kappa_congruence", "cm_bound",
+                   "kappa_order", "kappa_residues", "orbit_congruence_check"),
+    "linkform": ("Character", "CurveClass", "Homology1", "TorsionElement",
+                 "WallForm", "complement_simple", "dual_element", "is_simple",
+                 "pair", "scc2_curves", "scc_curves"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = (*_LAZY, "intlinalg")
+
 __all__ = [
     "CycInt", "CycNum", "ResidueClass", "divide_exact", "invert_p_power",
-    "mod_p", "ring_modulus", "root", "valuation",
-    "SkeinElem", "chebyshev_e", "delta", "eta", "eta_squared", "hopf_bracket",
-    "kappa", "omega", "plane_eval", "quantum_int", "twist",
-    "AbelianGroup", "HopfSatellite", "bracket_satellite", "cover_invariant",
-    "cover_invariant_valuation", "homology_from_matrix", "linking_matrix",
-    "CongruenceVerdict", "check_kappa_congruence", "cm_bound", "kappa_order",
-    "kappa_residues", "orbit_congruence_check",
-    "Character", "CurveClass", "Homology1", "TorsionElement", "WallForm",
-    "complement_simple", "dual_element", "is_simple", "pair", "scc2_curves",
-    "scc_curves",
+    "mod_p", "ring_modulus", "root", "valuation", *_HOME,
 ]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

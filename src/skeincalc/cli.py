@@ -1,18 +1,16 @@
 """Command-line driver: every computation as a subcommand, text or JSON out.
 
 Exit codes: 0 success, 1 domain errors (CalcError), 2 argument errors.
-SKEINCALC_FORMAT=json switches the default output format.
+SKEINCALC_FORMAT=json switches the default output format.  Each handler
+imports the layers it calls, so a command loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 
-from . import congruence, invariants, linkform, skein
 from .cyclotomic import CycInt, euler_phi, is_prime, ring_modulus
 from .errors import CalcError, TooLargeError
 
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--colors", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=congruence.ORBIT_TERM_CAP,
+    sp.add_argument("--cap", type=int, default=None,
                     help="abort if trials * (colors^p + 1) * p^3 exceeds this")
     add_json_flag(sp)
     return parser
@@ -121,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, record: dict, text_lines) -> None:
     if args.json:
+        import json
         print(json.dumps(record, sort_keys=True))
     else:
         for line in text_lines:
@@ -128,6 +127,7 @@ def _emit(args, record: dict, text_lines) -> None:
 
 
 def _cmd_invariant(args) -> int:
+    from . import congruence, invariants, skein
     p = args.p
     value = invariants.cover_invariant(p)
     verdict = congruence.check_kappa_congruence(value, p)
@@ -162,6 +162,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
+    from . import skein
     _check_cap("p", args.p, MAX_P)
     _check_cap("n", args.n, MAX_N)
     value = skein.hopf_bracket(args.p, args.n)
@@ -171,6 +172,7 @@ def _cmd_hopf(args) -> int:
 
 
 def _cmd_valuation(args) -> int:
+    from . import congruence, invariants, skein
     p = args.p
     _check_cap("p", p, MAX_P)
     v = invariants.cover_invariant_valuation(p)
@@ -206,6 +208,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
 
 
 def _cmd_homology(args) -> int:
+    from . import invariants
     try:
         matrix = _parse_matrix(args.matrix)
     except ValueError as exc:
@@ -220,6 +223,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_cover_analyze(args) -> int:
+    from . import linkform
     try:
         form = linkform.parse_form(args.form)
         chi = linkform.parse_character(args.char, form, args.free_rank, args.order)
@@ -275,14 +279,18 @@ def _cmd_cover_analyze(args) -> int:
     return 0
 
 
-def _random_cycint(rng: random.Random, N: int) -> CycInt:
+def _random_cycint(rng, N: int) -> CycInt:
     return CycInt(N, [rng.randint(-3, 3) for _ in range(euler_phi(N))])
 
 
 def _cmd_orbit_check(args) -> int:
+    import random
+
+    from . import congruence
     p = args.p
+    cap = congruence.ORBIT_TERM_CAP if args.cap is None else args.cap
     try:
-        sequences = congruence.orbit_sequence_count(args.colors, p, args.trials, args.cap)
+        sequences = congruence.orbit_sequence_count(args.colors, p, args.trials, cap)
     except (ValueError, TooLargeError) as exc:
         return _arg_error(str(exc))
     N = ring_modulus(p)

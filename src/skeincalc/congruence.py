@@ -49,14 +49,19 @@ class CongruenceVerdict:
                 "candidates_checked": self.candidates_checked}
 
 
-def _line(r: ResidueClass) -> tuple[int, ResidueClass]:
-    """(c, key) with r = c * key and the first nonzero coefficient of key 1.
+def _line(modulus: int, p: int, coeffs) -> tuple[int, ResidueClass] | None:
+    """(c, key) with coeffs = c * key mod p and the first nonzero coefficient
+    of key 1, or None when every coefficient is 0 mod p.
 
-    r is not zero; key names the line F_p^* * r.
+    key names the line F_p^* * r of the residue r of coeffs; it is scaled
+    while it is reduced, in one pass over coeffs.
     """
-    c = next(a for a in r.coeffs if a)
-    inv = pow(c, -1, r.p)
-    return c, _residue(r.modulus, r.p, [a * inv for a in r.coeffs])
+    for a in coeffs:
+        c = a % p
+        if c:
+            inv = pow(c, -1, p)
+            return c, _residue(modulus, p, [b * inv for b in coeffs])
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -68,13 +73,14 @@ def kappa_residues(p: int) -> dict:
     and maps to (m, u): m is the least exponent on the line and
     residue(kappa^m) = u * key.  The zero residue is keyed to (0, 0).
     kappa^m is zeta_N^(t*m), so the table has at most ord(kappa) + 1
-    entries and takes no ring product to build.
+    entries and takes no ring product to build.  The coefficients of a
+    power of zeta_N are 0 or +-1, so u is 1 or p - 1 and u^-1 = u.
     """
     N = ring_modulus(p)
     t = kappa_root_exponent(p)
     out: dict[ResidueClass, tuple[int, int]] = {mod_p(from_int(N, 0), p): (0, 0)}
     for m in range(kappa_order(p)):
-        u, key = _line(mod_p(root(N, t * m), p))
+        u, key = _line(N, p, root(N, t * m).coeffs)
         out.setdefault(key, (m, u))
     return out
 
@@ -86,8 +92,8 @@ def check_kappa_congruence(x, p: int) -> CongruenceVerdict:
     denominator exponent zero.
 
     A nonzero residue c * key lies on the line of its key, whose entry
-    (m, u) gives the least m and then n = c / u mod p; lines of distinct
-    keys are disjoint, and on one line each m has a single n.
+    (m, u) gives the least m and then n = c / u = c * u mod p; lines of
+    distinct keys are disjoint, and on one line each m has a single n.
     """
     N = ring_modulus(p)
     if isinstance(x, CycNum):
@@ -96,13 +102,13 @@ def check_kappa_congruence(x, p: int) -> CongruenceVerdict:
         x = from_int(N, x)
     elif x.modulus != N:
         raise ModulusMismatchError(f"x is in Z[zeta_{x.modulus}], not Z[zeta_{N}]")
-    r = mod_p(x, p)
-    if r.is_zero:
+    line = _line(N, p, x.coeffs)
+    if line is None:
         witness = (0, 0)
     else:
-        c, key = _line(r)
-        line = kappa_residues(p).get(key)
-        witness = None if line is None else (line[0], c * pow(line[1], -1, p) % p)
+        c, key = line
+        entry = kappa_residues(p).get(key)
+        witness = None if entry is None else (entry[0], c * entry[1] % p)
     return CongruenceVerdict(witness is not None, witness, kappa_order(p) * p)
 
 

@@ -1,0 +1,82 @@
+"""The lazy package namespace, and which modules each CLI command loads.
+
+The footprint cases run in a fresh interpreter each, because this test
+process has already imported every module.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import skeincalc
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUBMODULES = ("skein", "invariants", "congruence", "linkform", "intlinalg")
+CLI = ("cli", "cyclotomic", "errors")
+
+
+def run_fresh(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def loaded_after(code: str) -> list[str]:
+    """The skeincalc submodules in sys.modules after code runs."""
+    out = run_fresh(code + "\nimport sys\nprint(*sorted(m for m in sys.modules "
+                           "if m.startswith('skeincalc.')))")
+    return [m.removeprefix("skeincalc.") for m in out.splitlines()[-1].split()]
+
+
+def test_bare_import_loads_only_the_ring_and_the_errors():
+    assert loaded_after("import skeincalc") == ["cyclotomic", "errors"]
+    assert loaded_after("import skeincalc.cli") == sorted(CLI)
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["hopf", "--p", "5", "--n", "2"], ("skein",)),
+    (["invariant", "--p", "5"], ("congruence", "intlinalg", "invariants", "skein")),
+    (["valuation", "--p", "7"], ("congruence", "intlinalg", "invariants", "skein")),
+    (["homology", "--matrix", "0,5;5,5"], ("intlinalg", "invariants", "skein")),
+    (["cover", "analyze", "--form", "A25+B5[2]", "--char", "tors:1/5,0"],
+     ("intlinalg", "linkform")),
+    (["orbit-check", "--p", "5"], ("congruence", "skein")),
+], ids=["hopf", "invariant", "valuation", "homology", "cover-analyze", "orbit-check"])
+def test_each_command_loads_only_its_layers(argv, layers):
+    code = ("import contextlib, io\nfrom skeincalc import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+    assert loaded_after(code) == sorted(CLI + layers)
+
+
+def test_public_names_are_their_home_modules_objects():
+    for name in skeincalc.__all__:
+        obj = getattr(skeincalc, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_dir_and_star_import_cover_every_public_name():
+    assert "__all__" in dir(skeincalc)
+    assert set(skeincalc.__all__) <= set(dir(skeincalc))
+    namespace = {}
+    exec("from skeincalc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(skeincalc.__all__)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        skeincalc.no_such_name
+    assert not hasattr(skeincalc, "BACKEND")
+
+
+def test_submodules_resolve_after_a_bare_import():
+    names = run_fresh("import skeincalc\n"
+                      f"for name in {SUBMODULES!r}:\n"
+                      "    print(getattr(skeincalc, name).__name__)\n"
+                      "print(skeincalc.kappa is skeincalc.skein.kappa)")
+    assert names.split() == [f"skeincalc.{name}" for name in SUBMODULES] + ["True"]

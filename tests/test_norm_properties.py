@@ -107,6 +107,10 @@ def test_valuation_of_products_and_sums(case):
     else:
         assert vxy == vx + vy
     assert valuation(x + y, p) >= min(vx, vy)
+    # p is a unit times pi^(p-1), and squaring doubles the valuation at each
+    # prime above pi, so both stay exact where the prime splits
+    assert valuation(x * x, p) == 2 * vx
+    assert valuation(x * p, p) == vx + p - 1
 
 
 def test_valuation_is_not_additive_where_the_prime_splits():

@@ -30,3 +30,33 @@ def test_pipeline_modules_do_not_divide():
             elif isinstance(node, ast.Attribute) and node.attr in banned:
                 found.append(f"{name}:{node.lineno}: {node.attr}")
     assert not found, f"division on the pipeline: {found}"
+
+
+def _runs_at_import(tree):
+    """Every node executed when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_and_package_import_only_the_ring_eagerly():
+    # the other layers load per command; importing one here would make every
+    # command compile it
+    allowed = {"cyclotomic", "errors"}
+    found = []
+    for name in ("cli.py", "__init__.py"):
+        tree = ast.parse((SOURCE / name).read_text(), name)
+        for node in _runs_at_import(tree):
+            if isinstance(node, ast.Import):
+                paths = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = f"skeincalc.{node.module or ''}".rstrip(".") if node.level else node.module
+                paths = [f"{base}.{a.name}" for a in node.names] if base == "skeincalc" else [base]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: {path}" for path in paths
+                      if path.startswith("skeincalc.") and path.split(".")[1] not in allowed]
+    assert not found, f"layers imported at module level: {found}"
