@@ -85,6 +85,19 @@ def test_root_of_unity_and_minimal_polynomial():
         assert acc.is_zero
 
 
+def test_ring_axioms_randomized():
+    rng = random.Random(20)
+    for N in (20, 14, 22):
+        for _ in range(25):
+            x, y, w = (random_cycint(rng, N) for _ in range(3))
+            assert x + y == y + x
+            assert x * y == y * x
+            assert (x + y) + w == x + (y + w)
+            assert (x * y) * w == x * (y * w)
+            assert x * (y + w) == x * y + x * w
+            assert x + (-x) == zero(N)
+
+
 def test_mul_matches_numeric_embedding():
     rng = random.Random(7)
     for N in (20, 14, 22):
@@ -216,6 +229,19 @@ def test_valuation_examples():
     assert valuation(x, 7) == 0
     assert valuation(x * 7, 7) == 6
     assert valuation(zero(20), 5) == math.inf
+
+
+def test_valuation_properties():
+    rng = random.Random(4)
+    for p, N in ((5, 20), (7, 14)):
+        for _ in range(15):
+            x, y = random_cycint(rng, N), random_cycint(rng, N)
+            if x.is_zero or y.is_zero:
+                continue
+            vx, vy = valuation(x, p), valuation(y, p)
+            assert valuation(x * y, p) >= vx + vy
+            assert valuation(x * p, p) == vx + (p - 1)
+            assert valuation(x * x, p) == 2 * vx
 
 
 def test_valuation_of_cycnum():
