@@ -1,18 +1,16 @@
 """Surgery-family evaluation for the cabled-Hopf-link covers.
 
 The framed link is a (p,p)-torus cable of one Hopf component (framing +1 on
-every cable strand) with a 0-framed unknot around it.  Decorating each
-component and expanding in the z-basis turns the bracket into a weighted sum
-of Hopf-fiber brackets H_n: a 0-framed component decorated with x equals a
-+1-framed one decorated with twist(x, -1), after which every z-power cable
-of every component is a family of +1-framed mutually +1-linked fibers.
+every cable strand) with a 0-framed unknot around it.  A 0-framed component
+decorated with x equals a +1-framed one decorated with twist(x, -1), after
+which every component is +1-framed and mutually +1-linked, so the bracket
+is the functional L(f) = plane_eval(twist(f, 1)) applied to the product
+twist(zero_decor, -1) * cable**p of the decorations as polynomials in z.
 
-By the multinomial theorem the p identically decorated cable strands
-contribute cable**p, so the bracket is the functional L: z^n -> H_n applied
-to twist(zero_decor, -1) * cable**p.  L is a weighted sum of evaluations at
-the points of skein.hopf_points, so the bracket needs the two decorations'
-values there and one ring power per point; cable**p is never expanded and
-nothing is divided.
+L is a weighted sum of evaluations at the points of skein.hopf_points, so
+the bracket needs the two decorations' values there (skein.point_eval) and
+one ring power per point; the product cable**p is never formed and nothing
+is divided.
 """
 
 from __future__ import annotations
@@ -23,7 +21,8 @@ from functools import lru_cache
 from . import intlinalg
 from .cyclotomic import CycNum, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
-from .skein import SkeinElem, eta, eta_squared, hopf_points, omega, phase_pinned, twist
+from .skein import (SkeinElem, eta, eta_squared, hopf_points, omega, phase_pinned,
+                    point_eval, twist)
 
 
 class HopfSatellite:
@@ -48,17 +47,17 @@ def bracket_satellite(sat: HopfSatellite) -> CycNum:
 
     The linear functional L: z^n -> H_n applied to
     twist(zero_decor, -1) * cable_decor**p, evaluated as the sum over the
-    pairs (z_j, w_j) of hopf_points(p) of w_j tz(z_j) cable(z_j)**p with
+    weights w_j of hopf_points(p) of w_j tz(z_j) cable(z_j)**p with
     tz = twist(zero_decor, -1).  A point is skipped only when cable(z_j)
     is zero there.
     """
     p = sat.p
     tz = twist(sat.zero_decor, -1)
     total = CycNum(from_int(ring_modulus(p), 0), p, 0)
-    for z, w in hopf_points(p):
-        c = sat.cable_decor.substitute(z)
+    for j, (_, w) in enumerate(hopf_points(p), 1):
+        c = point_eval(sat.cable_decor, j)
         if not c.is_zero:
-            total = total + w * tz.substitute(z) * c ** p
+            total = total + w * point_eval(tz, j) * c ** p
     return total
 
 

@@ -1,9 +1,10 @@
 """Kauffman-bracket skein of the solid torus at an odd prime p.
 
-The skein of a genus-one handlebody is a polynomial ring in the core curve z;
-we expand everything in the z-basis with coefficients in O_p[1/p].  The
-Chebyshev elements e_k diagonalize the full-twist map, which is what makes
-framing changes and the surgery element computable.
+The skein of a genus-one handlebody is a polynomial ring in the core curve z.
+Elements are kept on the Chebyshev basis e_0 = 1, e_1 = z,
+e_(k+1) = z e_k - e_(k-1), with coefficients in O_p[1/p]: the full twist is
+diagonal there and the surgery element has closed-form coefficients, so no
+change of basis is ever made.
 
 Conventions (all verified by the test suite):
   * bracket normalization: empty diagram 1, each unknot delta = -A^2 - A^(-2);
@@ -11,9 +12,11 @@ Conventions (all verified by the test suite):
   * the twist acts on e_k by (-1)^k A^(k^2 + 2k);
   * the surgery element is omega(p) = sum of (-1)^k [k+1] e_k.
 
-Every bracket of +1-twisted cables, L(f) = plane_eval(twist(f, 1)), is read
-off the values of f at the points z_j = -(A^2j + A^-2j), j = 1 .. (p-1)/2,
-with the closed-form weights of hopf_points.
+An element is only ever evaluated at the points z_j = -(A^2j + A^-2j)
+(point_eval, by Clenshaw's recurrence); z_1 = delta gives plane_eval.  Every
+bracket of +1-twisted cables, L(f) = plane_eval(twist(f, 1)), is read off
+the values of f at z_j, j = 1 .. (p-1)/2, with the closed-form weights of
+hopf_points.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .cyclotomic import CycInt, CycNum, from_int, ring_modulus, root
+from .cyclotomic import CycInt, CycNum, euler_phi, from_int, ring_modulus, root
 from .errors import ModulusMismatchError, UnsupportedPrimeError
 
 
@@ -66,10 +69,12 @@ def _as_cycnum(p: int, value) -> CycNum:
 
 
 class SkeinElem:
-    """Polynomial in the core curve z with coefficients in O_p[1/p].
+    """Element sum of c_k e_k of the skein, with c_k in O_p[1/p].
 
     Coefficients may be given as CycNum, CycInt or int; trailing zeros are
-    trimmed so the degree is canonical (-1 for the zero element).
+    trimmed so the degree (in z, equal to the last k) is canonical, -1 for
+    the zero element.  Elements form a module over O_p[1/p]: they add and
+    scale, and are read through point_eval.
     """
 
     __slots__ = ("p", "coeffs")
@@ -128,19 +133,10 @@ class SkeinElem:
         return SkeinElem(self.p, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (CycNum, CycInt, int)):
-            c = _as_cycnum(self.p, other)
-            return SkeinElem(self.p, [a * c for a in self.coeffs])
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (CycNum, CycInt, int)):
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return SkeinElem(self.p)
-        out = [_as_cycnum(self.p, 0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return SkeinElem(self.p, out)
+        c = _as_cycnum(self.p, other)
+        return SkeinElem(self.p, [a * c for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -160,27 +156,17 @@ class SkeinElem:
         if self.is_zero:
             return "0"
         terms = []
-        for j, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
             body = str(c)
             if " " in body or "/" in body:
                 body = f"({body})"
-            if j == 0:
+            if k == 0:
                 terms.append(body)
-            elif body == "1":
-                terms.append("z" if j == 1 else f"z^{j}")
             else:
-                terms.append(f"{body}·z" if j == 1 else f"{body}·z^{j}")
+                terms.append(f"e_{k}" if body == "1" else f"{body}·e_{k}")
         return " + ".join(terms)
-
-    def substitute(self, value) -> CycNum:
-        """Evaluate at z = value, a CycNum, CycInt or int (Horner)."""
-        value = _as_cycnum(self.p, value)
-        acc = _as_cycnum(self.p, 0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     def to_json(self) -> dict:
         return {"p": self.p, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -190,47 +176,40 @@ class SkeinElem:
         return cls(data["p"], [CycNum.from_json(c) for c in data["coeffs"]])
 
 
-@lru_cache(maxsize=None)
-def chebyshev_e(p: int, k: int) -> SkeinElem:
-    """e_0 = 1, e_1 = z, e_(k+1) = z e_k - e_(k-1), in the z-basis."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return SkeinElem(p, [1])
-    if k == 1:
-        return SkeinElem(p, [0, 1])
-    z = SkeinElem(p, [0, 1])
-    return z * chebyshev_e(p, k - 1) - chebyshev_e(p, k - 2)
+def point_eval(x: SkeinElem, j: int) -> CycNum:
+    """x at z = z_j = -(A^2j + A^-2j), by Clenshaw's recurrence.
+
+    e_k(z) = U_k(z/2), so b_k = c_k + z b_(k+1) - b_(k+2) from the top
+    down gives x(z) = b_0.  The b_k are numerators over the common
+    denominator p^K, kept as vectors in Z[t]/(t^N - 1), t = zeta_N, where
+    multiplying by z_j is two rotations by s = jN/p.  b_0 is reduced
+    modulo Phi_N once, after folding with t^(N/2) = -1.
+    """
+    p = x.p
+    N = ring_modulus(p)
+    K = max((c.k for c in x.coeffs), default=0)
+    s = j * (N // p) % N
+    pad = [0] * (N - euler_phi(N))
+    b1 = b2 = [0] * N
+    for c in reversed(x.coeffs):
+        scale = p ** (K - c.k)
+        b0 = [scale * a for a in c.num.coeffs] + pad
+        up = b1[N - s:] + b1[:N - s]
+        down = b1[s:] + b1[:s]
+        b1, b2 = [a - u - d - e for a, u, d, e in zip(b0, up, down, b2)], b1
+    half = N // 2
+    return CycNum(CycInt.from_poly(N, [a - b for a, b in zip(b1[:half], b1[half:])]), p, K)
 
 
 def plane_eval(x: SkeinElem) -> CycNum:
-    """Embed the solid torus in the plane: z becomes an unknot, so z -> delta."""
-    return x.substitute(_as_cycnum(x.p, delta(x.p)))
+    """Embed the solid torus in the plane: z becomes an unknot, so z -> delta = z_1."""
+    return point_eval(x, 1)
 
 
 @lru_cache(maxsize=None)
 def omega(p: int) -> SkeinElem:
     """Surgery element at p: sum over k <= (p-3)/2 of (-1)^k [k+1] e_k."""
-    out = SkeinElem(p)
-    for k in range((p - 3) // 2 + 1):
-        term = chebyshev_e(p, k) * quantum_int(p, k + 1)
-        out = out + (term if k % 2 == 0 else -term)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _z_to_e_rows(deg: int) -> tuple[tuple[int, ...], ...]:
-    """rows[j][k] = integer coefficient of e_k in z**j (ballot-number table)."""
-    rows = [(1,)]
-    for j in range(deg):
-        prev = rows[-1]
-        row = []
-        for k in range(j + 2):
-            left = prev[k - 1] if k - 1 >= 0 and k - 1 < len(prev) else 0
-            right = prev[k + 1] if k + 1 < len(prev) else 0
-            row.append(left + right)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return SkeinElem(p, [quantum_int(p, k + 1) * (-1) ** k for k in range((p - 1) // 2)])
 
 
 def twist_eigenvalue(p: int, k: int, e: int = 1) -> CycInt:
@@ -240,21 +219,8 @@ def twist_eigenvalue(p: int, k: int, e: int = 1) -> CycInt:
 
 
 def twist(x: SkeinElem, e: int) -> SkeinElem:
-    """Apply e full twists: diagonal on the e_k basis, then back to z."""
-    if x.is_zero:
-        return x
-    p = x.p
-    rows = _z_to_e_rows(x.degree)
-    e_coeffs = [_as_cycnum(p, 0) for _ in range(x.degree + 1)]
-    for j, cj in enumerate(x.coeffs):
-        for k, r in enumerate(rows[j]):
-            if r:
-                e_coeffs[k] = e_coeffs[k] + cj * r
-    out = SkeinElem(p)
-    for k, ck in enumerate(e_coeffs):
-        if not ck.is_zero:
-            out = out + chebyshev_e(p, k) * (ck * twist_eigenvalue(p, k, e))
-    return out
+    """Apply e full twists: e_k is scaled by twist_eigenvalue(p, k, e)."""
+    return SkeinElem(x.p, [c * twist_eigenvalue(x.p, k, e) for k, c in enumerate(x.coeffs)])
 
 
 @lru_cache(maxsize=None)

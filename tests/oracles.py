@@ -3,8 +3,12 @@
 These deliberately avoid the production code paths they check.  The
 production brackets evaluate at the points z_j with closed-form weights;
 here the Hopf bracket is resolved from an explicit diagram crossing by
-crossing, or summed from its binomial closed form with one exact division,
-and the satellite bracket is expanded in the z-basis, either over every
+crossing, or summed from its binomial closed form with one exact division.
+The package keeps skein elements on the Chebyshev basis e_k and evaluates
+them by Clenshaw's recurrence; here they become polynomials in z (ZPoly),
+built by e_(k+1) = z e_k - e_(k-1) and read back through the ballot-number
+rows, with their own twist, pairwise product and Horner evaluation.  The
+satellite bracket is expanded in that z-basis, either over every
 cable-coefficient tuple or through the p-th power of the cable decoration.
 The order of kappa and the up-to-phase verdict are found by search over the
 powers of kappa, where the package reads both off kappa = zeta_N^t; the
@@ -36,7 +40,7 @@ from skeincalc.cyclotomic import (
 )
 from skeincalc.errors import InconsistencyError
 from skeincalc.linkform import _iroot
-from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order, twist
+from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order
 
 
 def numeric(x, N=None):
@@ -134,12 +138,147 @@ def hopf_binomial(p: int, n: int) -> CycInt:
     return divide_exact(total, A_power(p, 2) - A_power(p, -2))
 
 
+def _cycnum(p: int, c) -> CycNum:
+    """c, a CycNum, CycInt or int of the ring at p, as a CycNum."""
+    N = ring_modulus(p)
+    if isinstance(c, int):
+        c = from_int(N, c)
+    if isinstance(c, CycInt):
+        c = CycNum(c, p, 0)
+    if c.modulus != N or c.p != p:
+        raise ValueError(f"coefficient does not live in the ring for p={p}")
+    return c
+
+
+class ZPoly:
+    """Polynomial in the core curve z with coefficients in O_p[1/p], ascending.
+
+    Coefficients may be given as CycNum, CycInt or int; trailing zeros are
+    trimmed so the degree is canonical (-1 for the zero polynomial).
+    """
+
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs=()) -> None:
+        cs = [_cycnum(p, c) for c in coeffs]
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        self.p = p
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _coerce(self, other):
+        return other if isinstance(other, ZPoly) else ZPoly(self.p, [other])
+
+    def __add__(self, other):
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for j, c in enumerate(b):
+            out[j] = out[j] + c
+        return ZPoly(self.p, out)
+
+    def __neg__(self):
+        return ZPoly(self.p, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if self.is_zero or o.is_zero:
+            return ZPoly(self.p)
+        out = [_cycnum(self.p, 0)] * (self.degree + o.degree + 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return ZPoly(self.p, out)
+
+    def __eq__(self, other):
+        return isinstance(other, ZPoly) and (self.p, self.coeffs) == (other.p, other.coeffs)
+
+    def __repr__(self):
+        return f"ZPoly(p={self.p}, coeffs={list(self.coeffs)})"
+
+    def substitute(self, value) -> CycNum:
+        """Evaluate at z = value, a CycNum, CycInt or int (Horner)."""
+        value = _cycnum(self.p, value)
+        acc = _cycnum(self.p, 0)
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+
+@lru_cache(maxsize=None)
+def chebyshev_z(p: int, k: int) -> ZPoly:
+    """e_0 = 1, e_1 = z, e_(k+1) = z e_k - e_(k-1), in the z-basis."""
+    if k < 2:
+        return ZPoly(p, [0] * k + [1])
+    return ZPoly(p, [0, 1]) * chebyshev_z(p, k - 1) - chebyshev_z(p, k - 2)
+
+
+@lru_cache(maxsize=None)
+def ballot_rows(deg: int) -> tuple[tuple[int, ...], ...]:
+    """rows[j][k] = integer coefficient of e_k in z**j (ballot-number table)."""
+    rows = [(1,)]
+    for j in range(deg):
+        prev = rows[-1]
+        row = []
+        for k in range(j + 2):
+            left = prev[k - 1] if k - 1 >= 0 and k - 1 < len(prev) else 0
+            right = prev[k + 1] if k + 1 < len(prev) else 0
+            row.append(left + right)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def to_z(x: SkeinElem) -> ZPoly:
+    """The e-basis element x = sum of c_k e_k as a polynomial in z."""
+    out = ZPoly(x.p)
+    for k, c in enumerate(x.coeffs):
+        out = out + chebyshev_z(x.p, k) * c
+    return out
+
+
+def e_coefficients(f: ZPoly) -> list:
+    """The coefficients of f on e_0 .. e_deg, through the ballot-number rows."""
+    out = [_cycnum(f.p, 0)] * (f.degree + 1)
+    for j, cj in enumerate(f.coeffs):
+        for k, r in enumerate(ballot_rows(f.degree)[j]):
+            if r:
+                out[k] = out[k] + cj * r
+    return out
+
+
+def from_z(f: ZPoly) -> SkeinElem:
+    """The polynomial f in z as an e-basis skein element."""
+    return SkeinElem(f.p, e_coefficients(f))
+
+
+def twist_z(f: ZPoly, e: int) -> ZPoly:
+    """e full twists in the z-basis: to e_k, scale by ((-1)^k A^(k^2+2k))^e, back."""
+    out = ZPoly(f.p)
+    for k, c in enumerate(e_coefficients(f)):
+        eig = A_power(f.p, e * k * (k + 2)) * (-1 if k * e % 2 else 1)
+        out = out + chebyshev_z(f.p, k) * (c * eig)
+    return out
+
+
 def bracket_by_cable_power(sat) -> CycNum:
     """L(tz * cable**p) in the z-basis, with L: z^n -> hopf_binomial(p, n)."""
     p = sat.p
-    poly = twist(sat.zero_decor, -1)
+    poly = twist_z(to_z(sat.zero_decor), -1)
+    cable = to_z(sat.cable_decor)
     for _ in range(p):
-        poly = poly * sat.cable_decor
+        poly = poly * cable
     total = CycNum(from_int(ring_modulus(p), 0), p, 0)
     for n, c in enumerate(poly.coeffs):
         total = total + c * hopf_binomial(p, n)
@@ -148,15 +287,16 @@ def bracket_by_cable_power(sat) -> CycNum:
 
 def satellite_direct(p: int, cable_decors, zero_decor) -> CycNum:
     """Satellite bracket by expanding every cable-coefficient tuple directly."""
-    tz = twist(zero_decor, -1)
+    tz = twist_z(to_z(zero_decor), -1)
+    cables = [to_z(c) for c in cable_decors]
     total = CycNum(from_int(ring_modulus(p), 0), p, 0)
-    ranges = [range(len(c.coeffs)) for c in cable_decors]
+    ranges = [range(len(c.coeffs)) for c in cables]
     for m, cm in enumerate(tz.coeffs):
         if cm.is_zero:
             continue
         for combo in itertools.product(*ranges):
             term = cm
-            for dec, j in zip(cable_decors, combo):
+            for dec, j in zip(cables, combo):
                 term = term * dec.coeffs[j]
             total = total + term * hopf_binomial(p, m + sum(combo))
     return total

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from skeincalc import skein
+from skeincalc import cyclotomic, invariants, skein
 from skeincalc.congruence import cm_bound
 from skeincalc.cyclotomic import CycInt, CycNum, is_prime, mod_p, ring_modulus, valuation
 from skeincalc.errors import UnsupportedPrimeError
@@ -17,7 +17,8 @@ from skeincalc.invariants import (
     homology_from_matrix,
     linking_matrix,
 )
-from skeincalc.skein import A_power, SkeinElem, delta, eta, hopf_bracket, omega
+from skeincalc.skein import (A_power, SkeinElem, delta, eta, eta_squared, hopf_bracket, omega,
+                             point_eval)
 
 from oracles import bracket_by_cable_power, random_cycint, random_skein, satellite_direct
 
@@ -244,17 +245,51 @@ def test_valuation_past_the_benchmark_primes():
     assert elapsed < 5.0
 
 
+def test_valuation_at_p101_makes_few_ring_products(monkeypatch):
+    # every skein element is evaluated by rotations; the ring products left
+    # are the weights, the p-th power, eta^2 and the valuation (9,354 when
+    # the decorations were evaluated by Horner's rule in the z-basis)
+    for module in (skein, invariants):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    calls = []
+    kernel = cyclotomic.mul_reduce
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(cyclotomic, "mul_reduce", counting)
+    assert cover_invariant_valuation(101) == 4851
+    assert len(calls) <= 1000
+
+
 def test_valuation_closed_form():
     # the cover invariant is eta^(2-p), so its valuation is (p-2)(p-3)/2
-    for p in range(5, 62, 2):
+    for p in range(5, 102, 2):
         if is_prime(p):
             assert cover_invariant_valuation(p) == (p - 2) * (p - 3) // 2
     for p in (5, 7):
         assert cover_invariant(p) * eta(p) ** (p - 2) == 1
 
 
+def test_closed_form_lemmas():
+    # README, "The cover invariant is eta^(2-p)": (a) omega vanishes at z_j
+    # for j >= 2, (b) omega(z_1) = eta^-2, (c) w_1 tz(z_1) = 1
+    for p in range(5, 102, 2):
+        if not is_prime(p):
+            continue
+        om = omega(p)
+        for j in range(2, (p - 1) // 2 + 1):
+            assert point_eval(om, j).is_zero, (p, j)
+        assert eta_squared(p) * point_eval(om, 1) == 1
+        w1 = skein.hopf_points(p)[0][1]
+        assert w1 * point_eval(skein.twist(om, -1), 1) == 1
+
+
 def test_valuation_at_p61_cold():
-    for fn in (skein.quantum_int, skein.chebyshev_e, skein.omega, skein.hopf_points,
+    for fn in (skein.quantum_int, skein.omega, skein.hopf_points,
                skein.eta_squared, cover_invariant_valuation):
         fn.cache_clear()
     t0 = time.perf_counter()

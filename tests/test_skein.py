@@ -7,7 +7,6 @@ from skeincalc.errors import UnsupportedPrimeError
 from skeincalc.skein import (
     A_power,
     SkeinElem,
-    chebyshev_e,
     delta,
     eta,
     eta_squared,
@@ -17,11 +16,17 @@ from skeincalc.skein import (
     omega,
     phase_pinned,
     plane_eval,
+    point_eval,
     quantum_int,
     twist,
 )
 
-from oracles import hopf_binomial, hopf_state_sum, random_skein
+from oracles import ZPoly, from_z, hopf_binomial, hopf_state_sum, random_skein, to_z
+
+
+def e(p, k):
+    """The Chebyshev element e_k as a skein element."""
+    return SkeinElem(p, [0] * k + [1])
 
 
 def test_delta_examples():
@@ -42,20 +47,27 @@ def test_quantum_int_examples():
 
 
 def test_chebyshev_recursion_and_degrees():
+    # e_k in the z-basis, read back through the independent ballot rows
     for p in (5, 7):
-        z = SkeinElem(p, [0, 1])
-        assert chebyshev_e(p, 0) == SkeinElem(p, [1])
-        assert chebyshev_e(p, 1) == z
-        assert chebyshev_e(p, 2) == z * z - 1
+        z = ZPoly(p, [0, 1])
+        assert to_z(e(p, 0)) == ZPoly(p, [1])
+        assert to_z(e(p, 1)) == z
+        assert to_z(e(p, 2)) == z * z - 1
         for k in range(2, 8):
-            assert chebyshev_e(p, k) == z * chebyshev_e(p, k - 1) - chebyshev_e(p, k - 2)
-            assert chebyshev_e(p, k).degree == k
+            assert from_z(z * to_z(e(p, k - 1)) - to_z(e(p, k - 2))) == e(p, k)
+            assert to_z(e(p, k)).degree == k
+            assert e(p, k).degree == k
+            for j in range(1, (p - 1) // 2 + 1):
+                zj = -(A_power(p, 2 * j) + A_power(p, -2 * j))
+                assert point_eval(e(p, k), j) == \
+                    point_eval(e(p, k - 1), j) * zj - point_eval(e(p, k - 2), j)
 
 
 def test_plane_eval_examples():
     for p in (5, 7):
         assert plane_eval(SkeinElem(p, [0, 1])) == delta(p)
-        assert plane_eval(chebyshev_e(p, 2)) == quantum_int(p, 3)
+        assert plane_eval(e(p, 2)) == quantum_int(p, 3)
+        assert plane_eval(from_z(ZPoly(p, [0, 0, 1]))) == delta(p) ** 2
 
 
 def test_plane_eval_chebyshev_induction():
@@ -63,17 +75,20 @@ def test_plane_eval_chebyshev_induction():
     for p in (5, 7, 11):
         for k in range((p - 3) // 2 + 1):
             want = quantum_int(p, k + 1) * (1 if k % 2 == 0 else -1)
-            assert plane_eval(chebyshev_e(p, k)) == want
+            assert plane_eval(e(p, k)) == want
 
 
 def test_omega_displays():
     assert omega(3) == SkeinElem(3, [1])
     d = delta(5)
     assert omega(5) == SkeinElem(5, [1, d])
+    assert to_z(omega(5)) == ZPoly(5, [1, d])
     d = delta(7)
-    assert omega(7) == SkeinElem(7, [2 - d * d, d, d * d - 1])
+    assert to_z(omega(7)) == ZPoly(7, [2 - d * d, d, d * d - 1])
+    assert omega(7) == SkeinElem(7, [1, d, d * d - 1])
     for p in (5, 7, 11, 13):
         assert omega(p).degree == (p - 3) // 2
+        assert to_z(omega(p)).degree == (p - 3) // 2
 
 
 def test_plane_eval_omega_is_sum_of_squares():
@@ -91,10 +106,25 @@ def test_twist_displays():
         assert twist(SkeinElem(p, [1]), 5) == SkeinElem(p, [1])
     d = delta(5)
     assert twist(omega(5), -1) == SkeinElem(5, [1, -(A_power(5, -3) * d)])
+    assert to_z(twist(omega(5), -1)) == ZPoly(5, [1, -(A_power(5, -3) * d)])
     d = delta(7)
     A6, A11 = A_power(7, 6), A_power(7, 11)
-    want = SkeinElem(7, [1 + A6 - A6 * d * d, -(A11 * d), A6 * (d * d - 1)])
-    assert twist(omega(7), -1) == want
+    want = ZPoly(7, [1 + A6 - A6 * d * d, -(A11 * d), A6 * (d * d - 1)])
+    assert to_z(twist(omega(7), -1)) == want
+    assert twist(omega(7), -1) == from_z(want)
+
+
+def test_point_eval_matches_horner_in_z_basis():
+    # Clenshaw on e-coefficients against Horner on the z-basis polynomial
+    rng = random.Random(14)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        xs = [omega(p), twist(omega(p), -1), twist(omega(p), 1), random_skein(rng, p)]
+        xs.append(SkeinElem(p, [CycNum(c.num, p, k) for k, c in enumerate(xs[-1].coeffs)]))
+        for x in xs:
+            f = to_z(x)
+            assert plane_eval(x) == f.substitute(delta(p))
+            for j in range(1, (p - 1) // 2 + 1):
+                assert point_eval(x, j) == f.substitute(-(A_power(p, 2 * j) + A_power(p, -2 * j)))
 
 
 def test_twist_round_trip_randomized():
@@ -139,7 +169,7 @@ def test_hopf_bracket_vs_twist_route():
     # n +1-framed fibers are one positive full twist applied to z^n
     for p in (5, 7, 11):
         for n in range(11):
-            zn = SkeinElem(p, [0] * n + [1])
+            zn = from_z(ZPoly(p, [0] * n + [1]))
             assert plane_eval(twist(zn, 1)) == CycNum(hopf_bracket(p, n), p, 0)
 
 

@@ -1,15 +1,16 @@
-"""The skein product against point evaluation.
+"""The z-basis product of the oracles against point evaluation.
 
 A product of degree d over the domain Z[zeta_N][1/p] is fixed by its degree
-and its values at d + 1 distinct points, and SkeinElem.substitute evaluates
-by Horner's rule without any skein product.
+and its values at d + 1 distinct points, and ZPoly.substitute evaluates by
+Horner's rule without any product of polynomials.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeincalc.cyclotomic import CycInt, CycNum, euler_phi, ring_modulus
-from skeincalc.skein import SkeinElem
+
+from oracles import ZPoly
 
 BIG = 10 ** 80
 
@@ -31,7 +32,7 @@ def coefficients(p):
 
 def skein_elems(p):
     """Degree 0 to 6, or the zero element; interior rows may be zero."""
-    return st.lists(coefficients(p), min_size=0, max_size=7).map(lambda cs: SkeinElem(p, cs))
+    return st.lists(coefficients(p), min_size=0, max_size=7).map(lambda cs: ZPoly(p, cs))
 
 
 pairs = st.sampled_from([5, 7, 11, 13]).flatmap(
@@ -40,14 +41,14 @@ pairs = st.sampled_from([5, 7, 11, 13]).flatmap(
 
 def flat(p, c, length):
     N = ring_modulus(p)
-    return SkeinElem(p, [CycInt(N, [c] * euler_phi(N))] * length)
+    return ZPoly(p, [CycInt(N, [c] * euler_phi(N))] * length)
 
 
 @product_settings
 @given(pairs)
 @example((flat(13, BIG, 1), flat(13, BIG, 1)))
 @example((flat(13, BIG, 7), flat(13, -BIG, 7)))
-@example((SkeinElem(5), flat(5, BIG, 3)))
+@example((ZPoly(5), flat(5, BIG, 3)))
 def test_product_matches_values_at_points(case):
     x, y = case
     xy = x * y
