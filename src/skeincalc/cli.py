@@ -15,13 +15,13 @@ from .cyclotomic import CycInt, euler_phi, is_prime, ring_modulus
 from .errors import CalcError, TooLargeError
 
 # the largest p that valuation and hopf accept: valuation --p 101 takes
-# about 5 s on a 2-CPU machine (0.8 s at p = 61)
+# about 0.65 s on a 2-CPU machine (0.25 s at p = 61)
 MAX_P = 101
-# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 3 s
+# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 2.3 s
 MAX_N = 1000
 # the most rows or columns that homology accepts: a random 60x60 matrix takes
-# about 0.1 s with one-digit entries and up to 3.6 s with the 33-digit entries
-# that fill a 128 KiB argument
+# about 0.15 s with one-digit entries and about 2.9 s with the 33-digit
+# entries that fill a 128 KiB argument
 MAX_MATRIX_DIM = 60
 # the most digits homology prints in one invariant factor, below Python's
 # 4,300-digit limit on converting an int to text

@@ -30,10 +30,20 @@ from .errors import (
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 PRIME_TEST_LIMIT = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k bases (Jaeschke; Sorenson
+# and Webster): below it those k bases decide primality
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        PRIME_TEST_LIMIT)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError for n >= PRIME_TEST_LIMIT."""
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_TEST_LIMIT.
+
+    After trial division by the bases, n < 43**2 is prime; above that only
+    the first k bases are tried, for the least k with n < psi_k.
+    """
     if n >= PRIME_TEST_LIMIT:
         raise ValueError(f"cannot test a {n.bit_length()}-bit number for primality: "
                          f"the test is exact only below {PRIME_TEST_LIMIT}")
@@ -42,20 +52,21 @@ def is_prime(n: int) -> bool:
     for a in _WITNESSES:
         if n % a == 0:
             return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _WITNESSES:
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a, psi in zip(_WITNESSES, _PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 
@@ -571,14 +582,26 @@ def invert_p_power(x: CycInt, p: int, cap: int | None = None) -> CycNum:
     raise PPowerInversionError(f"no q with q*x = {p}**k for k <= {cap}")
 
 
+def _cofactor(N: int, p: int) -> CycInt:
+    """c = prod_{a=2}^{p-1} (1 - zeta_p**a), so that (1 - zeta_p) * c = p.
+
+    Built as c = -sum_{k<p} (k+1) zeta_p**k with one reduction: (1 - zeta_p)
+    times that sum telescopes to sum_{k<p} zeta_p**k - p*zeta_p**p = -p.
+    """
+    step = N // p
+    poly = [0] * ((p - 1) * step + 1)
+    poly[::step] = range(-1, -p - 1, -1)
+    return CycInt.from_poly(N, poly)
+
+
 def valuation(x, p: int):
     """Largest k with x in (1 - zeta_p)**k Z[zeta_N]; math.inf for 0.
 
     Uses p = unit * (1 - zeta_p)**(p-1) to strip integer factors of p first,
     then divides by (1 - zeta_p) until the division stops being exact.  The
-    division multiplies by c = prod_{a=2}^{p-1} (1 - zeta_p**a), using
-    (1 - zeta_p) * c = p: x / (1 - zeta_p) = x * c / p, exact iff p divides
-    every coefficient of x * c.  For a CycNum y/p**j this is
+    division multiplies by the cofactor c of (1 - zeta_p) in p (see
+    _cofactor): x / (1 - zeta_p) = x * c / p, exact iff p divides every
+    coefficient of x * c.  For a CycNum y/p**j this is
     valuation(y) - j*(p-1).
     """
     if isinstance(x, CycNum):
@@ -593,9 +616,7 @@ def valuation(x, p: int):
     while all(c % p == 0 for c in x.coeffs):
         x = _make(N, tuple([c // p for c in x.coeffs]))
         v += p - 1
-    c = one(N)
-    for a in range(2, p):
-        c = c * (one(N) - root(N, a * N // p))
+    c = _cofactor(N, p)
     while True:
         y = (x * c).coeffs
         if any(t % p for t in y):

@@ -6,12 +6,14 @@ leading column of a list of rows by unimodular 2x2 row operations.  A column
 operation is the same kernel applied to the transpose.  Transforms are
 carried as extra entries appended to the rows being reduced (U beside the
 rows, the columns of V beside the transposed rows), so only the Smith form
-itself builds them; `diagonal_entries` and `cokernel` reduce the bare matrix.
+itself builds them; `diagonal_entries` and `cokernel` reduce the bare matrix,
+and read its last two pivots off the determinantal divisors.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -37,36 +39,54 @@ def _clear_leading(rows: list[list[int]]) -> None:
 
     In place, by Euclid on the rows: the row with the least nonzero leading
     entry a moves to the top and every other row loses q = round(b / a)
-    times it, until no other leading entry b is left.  Each step is a
-    unimodular 2x2 row operation; when a divides b one step clears the row.
-    The rounded quotient keeps the entries near the size of the minors: on a
-    random 40x40 matrix with entries in [-9, 9] the largest entry stays at
-    180 bits, where replacing each pair of rows by extended-gcd combinations
-    reaches 82,552 bits.
+    times it, until no other leading entry b is left.  The least remainder
+    of one round is the pivot of the next.  Each step is a unimodular 2x2
+    row operation; when a divides b one step clears the row.  The rounded
+    quotient keeps the entries near the size of the minors: on seeded 40x40
+    matrices with entries in [-9, 9] the largest entry stays near 130 bits,
+    below the 175 bits of the determinant, where folding each row into the
+    top by extended-gcd combinations reaches over 200,000 bits.
     """
-    while True:
-        k, best = -1, 0
-        for i, row in enumerate(rows):
-            b = abs(row[0])
-            if b and (k < 0 or b < best):
-                k, best = i, b
-        if k < 0:
-            return
+    k, best = -1, 0
+    for i, row in enumerate(rows):
+        b = abs(row[0])
+        if b and (k < 0 or b < best):
+            k, best = i, b
+    while k >= 0:
         top = rows[k]
         rows[k] = rows[0]
         rows[0] = top
         a = top[0]
-        done = True
+        k, best = -1, 0
         for i in range(1, len(rows)):
             row = rows[i]
             b = row[0]
             if b:
                 q = (2 * b + a) // (2 * a)
                 rows[i] = row = [y - q * x for x, y in zip(top, row)]
-                if row[0]:
-                    done = False
-        if done:
-            return
+                b = abs(row[0])
+                if b and (k < 0 or b < best):
+                    k, best = i, b
+
+
+def _tail(X) -> list[int]:
+    """Nonzero Smith pivots of a matrix with one or two columns.
+
+    They are read off the determinantal divisors: d1 is the gcd of the
+    entries and d1*d2 the gcd of the 2x2 minors.  Every minor is a multiple
+    of d1**2, so the scan stops once the gcd reaches it.
+    """
+    d1 = math.gcd(*(x for row in X for x in row))
+    if not d1:
+        return []
+    if len(X[0]) == 1:
+        return [d1]
+    floor, g = d1 * d1, 0
+    for (a, b), (c, d) in combinations(X, 2):
+        g = math.gcd(g, a * d - b * c)
+        if g == floor:
+            return [d1, d1]
+    return [d1, g // d1] if g else [d1]
 
 
 def _diagonalise(X: list[list[int]], Tx=None, Ty=None):
@@ -76,16 +96,20 @@ def _diagonalise(X: list[list[int]], Tx=None, Ty=None):
     pivot row and column whenever the pivot divides the rest of its row:
     clearing that row only changes the row itself.  A zero leading column is
     set aside.  Without transforms the result is the list of pivots, each
-    positive.  With them, Tx holds one row per row of X and Ty one per column
-    of X: the rows of U and the columns of V, which swap roles with each
-    transpose.  The result is then (pivots, U rows, V columns), the first
-    len(pivots) of each belonging to the pivots in turn.
+    positive, and once at most two rows or columns are left `_tail` gives
+    the last of them.  With them, Tx holds one row per row of X and Ty one
+    per column of X: the rows of U and the columns of V, which swap roles
+    with each transpose.  The result is then (pivots, U rows, V columns),
+    the first len(pivots) of each belonging to the pivots in turn.
     """
     track = Tx is not None
     pivots, pivot_u, pivot_v, rest_u, rest_v = [], [], [], [], []
     flipped = False
     while X and X[0]:
         w = len(X[0])
+        if not track and (w <= 2 or len(X) <= 2):
+            pivots += _tail(X if w <= 2 else list(zip(*X)))
+            break
         if track:
             A = [x + t for x, t in zip(X, Tx)]
             _clear_leading(A)
@@ -100,7 +124,7 @@ def _diagonalise(X: list[list[int]], Tx=None, Ty=None):
                 (rest_u if flipped else rest_v).append(Ty[0])
                 Ty = Ty[1:]
             continue
-        if any(x % a for x in top[1:]):
+        if a not in (1, -1) and any(x % a for x in top[1:]):
             X = [list(col) for col in zip(*X)]
             Tx, Ty = Ty, Tx
             flipped = not flipped

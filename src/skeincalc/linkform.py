@@ -103,7 +103,7 @@ class TorsionElement:
     __slots__ = ("values",)
 
     def __init__(self, values) -> None:
-        self.values = tuple(int(v) for v in values)
+        self.values = tuple(map(int, values))
 
     def reduced(self, form: WallForm) -> "TorsionElement":
         return TorsionElement(v % form.order(i) for i, v in enumerate(self.values))
@@ -143,8 +143,8 @@ class Character:
     """Hom(H_1, Z_k) for k a power of p, kept as Q/Z values on torsion.
 
     free_values are elements of Z_k (one per free generator); each torsion
-    value is a fraction mod 1 whose denominator divides both the summand
-    order and k (well-definedness).
+    value, given as a Fraction or an int, is kept as a fraction mod 1 whose
+    denominator divides both the summand order and k (well-definedness).
     """
 
     __slots__ = ("order", "free_values", "torsion_values")
@@ -156,8 +156,9 @@ class Character:
         self.free_values = tuple(int(v) % order for v in free_values)
         vals = []
         for v in torsion_values:
-            v = Fraction(v) % 1
-            if order % v.denominator:
+            den = v.denominator
+            v = Fraction(v.numerator % den, den)
+            if order % den:
                 raise CharacterDomainError(
                     f"value {v} does not lie in Z_{order} inside Q/Z")
             vals.append(v)
@@ -194,13 +195,20 @@ class CurveClass(NamedTuple):
 
 
 def pair(form: WallForm, x: TorsionElement, y: TorsionElement) -> Fraction:
-    """The Q/Z linking pairing, summed over summands and reduced mod 1."""
+    """The Q/Z linking pairing, summed over summands and reduced mod 1.
+
+    The sum is taken over the common denominator p**t, t the largest
+    exponent, so one Fraction is built.
+    """
     if len(x.values) != len(form.summands) or len(y.values) != len(form.summands):
         raise ValueError("element shape does not match the form")
-    total = Fraction(0)
+    p = form.p
+    top = max((s.exponent for s in form.summands), default=0)
+    total = 0
     for s, xi, yi in zip(form.summands, x.values, y.values):
-        total += Fraction(s.unit * xi * yi, form.p ** s.exponent)
-    return total % 1
+        total += s.unit * xi * yi * p ** (top - s.exponent)
+    q = p ** top
+    return Fraction(total % q, q)
 
 
 def dual_element(form: WallForm, torsion_values) -> TorsionElement:
@@ -209,17 +217,18 @@ def dual_element(form: WallForm, torsion_values) -> TorsionElement:
     Per summand: a value a/p^t on type A gives coordinate a; type B divides
     by the unit n mod p^t.  Nonsingularity makes c unique, and c is the
     Bockstein image of the character under the form's identification.
+    The values are Fractions or ints, read as numerator and denominator.
     """
     torsion_values = list(torsion_values)
     if len(torsion_values) != len(form.summands):
         raise ValueError("one value per summand is required")
     out = []
     for s, v in zip(form.summands, torsion_values):
-        v = Fraction(v) % 1
+        num, den = v.numerator, v.denominator
         q = form.p ** s.exponent
-        if q % v.denominator:
-            raise CharacterDomainError(f"{v} does not annihilate Z_{q}")
-        a = v.numerator * (q // v.denominator)
+        if q % den:
+            raise CharacterDomainError(f"{Fraction(num % den, den)} does not annihilate Z_{q}")
+        a = num * (q // den)
         if s.kind == "B":
             a = a * pow(s.unit, -1, q)
         out.append(a % q)

@@ -17,7 +17,9 @@ where the package keeps one entry per line F_p^* * kappa^m.  The
 Smith form pivots on the least nonzero entry of the whole submatrix with row
 and column operations, where the package clears one column at a time by
 Euclid on the rows; a prime-power order is factored by trial division, where
-the package takes one gcd with a product of small primes.
+the package takes one gcd with a product of small primes.  The cofactor of
+(1 - zeta_p) in p is the product of the other 1 - zeta_p**a, where the
+package sums it in closed form.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from skeincalc.cyclotomic import (
     from_int,
     is_prime,
     mod_p,
+    one,
     ring_modulus,
+    root,
 )
 from skeincalc.errors import InconsistencyError
 from skeincalc.linkform import _iroot
@@ -432,6 +436,14 @@ def smith_by_min_pivot(mat) -> tuple[list[list[int]], list[list[int]], list[list
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
     return D, U, V
+
+
+def valuation_cofactor_product(N: int, p: int) -> CycInt:
+    """prod_{a=2}^{p-1} (1 - zeta_p**a) in Z[zeta_N], by p - 2 ring products."""
+    c = one(N)
+    for a in range(2, p):
+        c = c * (one(N) - root(N, a * N // p))
+    return c
 
 
 def prime_power_by_trial_division(q: int) -> tuple[int, int]:

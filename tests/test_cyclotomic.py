@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from skeincalc import cyclotomic
 from skeincalc.cyclotomic import (
     PRIME_TEST_LIMIT,
     CycInt,
@@ -29,7 +30,7 @@ from skeincalc.errors import (
     PPowerInversionError,
 )
 
-from oracles import numeric, random_cycint
+from oracles import numeric, random_cycint, valuation_cofactor_product
 
 USED_MODULI = [6, 10, 14, 20, 22, 26, 44, 52]
 
@@ -181,10 +182,13 @@ def test_is_prime_against_a_sieve():
 
 
 def test_is_prime_on_pseudoprimes_and_large_primes():
-    # Carmichael numbers, and the least strong pseudoprimes to the first
-    # 1, 4, 9 and 12 prime bases; the last one needs the base 41
-    for n in (561, 1729, 2047, 3215031751, 3825123056546413051,
-              318665857834031151167461):
+    # Carmichael numbers, the least strong pseudoprimes psi_k to the first
+    # k = 1, 2, 3, 4, 5, 6, 7, 9 and 12 prime bases (the last one needs the
+    # base 41), and the composites either side of 43**2, below which trial
+    # division decides
+    for n in (561, 1729, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461, 41 * 43, 43 * 43):
         assert not is_prime(n)
     for n in (1000000007, 1000000000000000003, 2 ** 61 - 1,
               1000000000000000000000007, 3317044064679887385961813):
@@ -229,6 +233,16 @@ def test_valuation_examples():
     assert valuation(x, 7) == 0
     assert valuation(x * 7, 7) == 6
     assert valuation(zero(20), 5) == math.inf
+
+
+def test_valuation_cofactor_matches_the_product():
+    # the closed form -sum (k+1) zeta_p**k against prod_{a>=2} (1 - zeta_p**a)
+    for p in range(3, 32, 2):
+        if is_prime(p):
+            for N in (p, 2 * p, 4 * p):
+                c = cyclotomic._cofactor(N, p)
+                assert c == valuation_cofactor_product(N, p), (p, N)
+                assert c * (one(N) - root(N, N // p)) == p
 
 
 def test_valuation_properties():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import smith_by_min_pivot
+from skeincalc import intlinalg
 from skeincalc.intlinalg import cokernel, diagonal_entries, smith_normal_form, solve
 
 
@@ -138,7 +139,36 @@ def oracle_cases():
                 for row in a:
                     row[j] = 0
         cases.append(a)
+    # the tail reads the last two pivots off the determinantal divisors:
+    # h x 2 and 2 x h, full rank, rank one, with a zero column, all zero
+    for h in (1, 2, 3, 5, 9, 17, 33, 60):
+        for bound in (1, 9, 10 ** 30):
+            a = random_matrix(rng, h, 2, bound)
+            v = [rng.randint(-bound, bound) for _ in range(2)]
+            rank_one = [[c * x for x in v] for c in (rng.randint(-5, 5) for _ in range(h))]
+            zero_col = [[x, 0] for x, _ in a]
+            for b in (a, rank_one, zero_col):
+                cases += [b, [list(col) for col in zip(*b)]]
+        cases.append([[0, 0] for _ in range(h)])
     return cases
+
+
+def test_kernel_entries_stay_below_the_determinant(monkeypatch):
+    # rounded quotients and the two-column tail keep every entry the
+    # kernel leaves no wider than det(a)
+    kernel = intlinalg._clear_leading
+    widest = []
+
+    def measured(rows):
+        kernel(rows)
+        widest.append(max((abs(x).bit_length() for row in rows for x in row), default=0))
+
+    monkeypatch.setattr(intlinalg, "_clear_leading", measured)
+    for n, seed in ((40, 1), (40, 2), (60, 3)):
+        a = random_matrix(random.Random(seed), n, n)
+        widest.clear()
+        cokernel(a)
+        assert widest and max(widest) <= abs(int(det(a))).bit_length(), (n, seed)
 
 
 def oracle_diagonal(a):
