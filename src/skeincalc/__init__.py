@@ -2,9 +2,9 @@
 with cyclotomic residue tests and linking-form algebra.
 
 All arithmetic is pure Python over exact integers.  Ring products go
-through one coefficient kernel, cyclotomic.mul_reduce; exact division,
-inversion up to a power of p and the (1 - zeta_p)-adic valuation reduce to
-ring products through the Galois norm and the (1 - zeta_p) cofactor.
+through one coefficient kernel, cyclotomic.mul_reduce; the (1 - zeta_p)-adic
+valuation reduces to ring products through the (1 - zeta_p) cofactor, and
+nothing on the way to an answer divides in the ring.
 
 Importing the package loads only the ring and the errors; every other layer
 loads on first access to one of its names or to the submodule (PEP 562).
@@ -16,8 +16,6 @@ from .cyclotomic import (
     CycInt,
     CycNum,
     ResidueClass,
-    divide_exact,
-    invert_p_power,
     mod_p,
     ring_modulus,
     root,
@@ -43,8 +41,8 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 _SUBMODULES = (*_LAZY, "intlinalg")
 
 __all__ = [
-    "CycInt", "CycNum", "ResidueClass", "divide_exact", "invert_p_power",
-    "mod_p", "ring_modulus", "root", "valuation", *_HOME,
+    "CycInt", "CycNum", "ResidueClass", "mod_p", "ring_modulus", "root",
+    "valuation", *_HOME,
 ]
 
 

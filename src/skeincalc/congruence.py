@@ -24,8 +24,8 @@ from .cyclotomic import (
 from .errors import ModulusMismatchError, TooLargeError
 from .skein import kappa_order, kappa_root_exponent
 
-# cap on orbit_sequence_count's work; the slowest accepted CLI call takes
-# about 3 s on 2 CPUs
+# cap on orbit_sequence_count's work; the slowest accepted CLI call (p = 3,
+# one color, 55,555 trials) takes about 4 s on 2 CPUs
 ORBIT_TERM_CAP = 3 * 10 ** 6
 
 
@@ -154,9 +154,9 @@ def orbit_sequence_count(colors: int, p: int, trials: int = 1,
                          cap: int = ORBIT_TERM_CAP) -> int:
     """colors^p, the sequences per trial, once the work is within cap.
 
-    The work is trials * (colors^p + 1) * p^3: a sequence multiplies p
-    weights in a ring of dimension below 2p, and the 1 is a trial's own
-    cost.  colors^p is not formed when 2^p alone passes the cap.
+    The work is bounded by trials * (colors^p + 1) * p^3: a sequence costs
+    at most p ring products in a ring of dimension below 2p, and the 1 is a
+    trial's own cost.  colors^p is not formed when 2^p alone passes the cap.
     """
     if colors < 1 or trials < 1:
         raise ValueError("need at least one color and one trial")
@@ -191,15 +191,23 @@ def orbit_congruence_check(weights, orbit_values, p: int) -> OrbitCheckReport:
     Values and weights are either all ints or all CycInt in one ring.
     Non-constant orbits have size p, so LHS = RHS mod p always holds; a
     false verdict indicates a bug in the caller's data or this package.
+
+    A sequence's weight product depends only on its multiset of colors, so
+    the values are summed per multiset (keyed by the sorted sequence) and
+    each sum is multiplied by its weights once.
     """
     weights = list(weights)
     num_colors = len(weights)
     total = orbit_sequence_count(num_colors, p)
 
-    lhs = 0
+    sums = {}
     for seq in itertools.product(range(num_colors), repeat=p):
-        term = orbit_values[canonical_orbit(seq)]
-        for i in seq:
+        key = tuple(sorted(seq))
+        value = orbit_values[canonical_orbit(seq)]
+        sums[key] = sums[key] + value if key in sums else value
+    lhs = 0
+    for key, term in sums.items():
+        for i in key:
             term = term * weights[i]
         lhs = lhs + term
     rhs = 0

@@ -18,12 +18,10 @@ import operator
 from functools import lru_cache
 
 from .errors import (
-    ExactDivisionError,
     InconsistencyError,
     InvalidPrimeError,
     ModulusMismatchError,
     NonIntegralError,
-    PPowerInversionError,
 )
 
 
@@ -202,8 +200,7 @@ class CycInt:
     """An element of Z[zeta_N], reduced in the power basis.
 
     Supports +, -, *, ** with elements of the same ring and with plain ints.
-    Instances are immutable and hashable; ** accepts negative exponents only
-    for units (the inverse is found by exact division).
+    Instances are immutable and hashable; ** takes exponents >= 0.
     """
 
     __slots__ = ("modulus", "coeffs")
@@ -275,7 +272,7 @@ class CycInt:
 
     def __pow__(self, e: int):
         if e < 0:
-            return divide_exact(one(self.modulus), self ** (-e))
+            raise ValueError("negative powers of CycInt are not defined")
         result = one(self.modulus)
         base = self
         while e:
@@ -341,45 +338,6 @@ def root(N: int, j: int) -> CycInt:
     if j < phi:
         return CycInt(N, [1 if i == j else 0 for i in range(phi)])
     return CycInt.from_poly(N, [0] * j + [1])
-
-
-def _adjugate(y: CycInt) -> tuple[CycInt, int]:
-    """adj = product of sigma_a(y) over a in (Z/N)^*, a != 1, and the norm n.
-
-    sigma_a sends zeta to zeta**a.  y * adj is the Galois norm of y, a
-    rational integer n, nonzero when y is.
-    """
-    N = y.modulus
-    adj = one(N)
-    for a in range(2, N):
-        if math.gcd(a, N) == 1:
-            image = [0] * N
-            for i, c in enumerate(y.coeffs):
-                image[a * i % N] += c
-            adj = adj * CycInt.from_poly(N, image)
-    n, *rest = (y * adj).coeffs
-    if any(rest):
-        raise InconsistencyError(f"the norm of ({y}) is not a rational integer")
-    return adj, n
-
-
-def divide_exact(x: CycInt, y: CycInt) -> CycInt:
-    """The q with q*y = x, or ExactDivisionError when x is not in (y).
-
-    q = x * adj / n with adj, n from _adjugate(y); since the power basis is a
-    Z-basis of Z[zeta_N], q is integral iff n divides every coefficient.
-    """
-    if x.modulus != y.modulus:
-        raise ModulusMismatchError("operands live in different rings")
-    if y.is_zero:
-        raise ZeroDivisionError("division by zero in Z[zeta_N]")
-    if x.is_zero:
-        return zero(x.modulus)
-    adj, n = _adjugate(y)
-    q = (x * adj).coeffs
-    if any(c % n for c in q):
-        raise ExactDivisionError(f"({x}) is not divisible by ({y})")
-    return _make(x.modulus, tuple([c // n for c in q]))
 
 
 class CycNum:
@@ -556,30 +514,6 @@ def _residue(modulus: int, p: int, coeffs) -> ResidueClass:
 def mod_p(x: CycInt, p: int) -> ResidueClass:
     """Coefficient-wise reduction Z[zeta_N] -> Z[zeta_N]/p (a ring map)."""
     return _residue(x.modulus, p, x.coeffs)
-
-
-def invert_p_power(x: CycInt, p: int, cap: int | None = None) -> CycNum:
-    """Smallest k <= cap with p**k in the ideal (x), returned as q/p**k.
-
-    The result is the inverse of x in Z[zeta_N][1/p] when it exists with
-    exponent at most cap (default 2(p-1)).  It is adj / n with adj, n from
-    _adjugate(x), which exists iff |n| is a power of p; the reduction of
-    CycNum leaves the smallest k because then q is not in p Z[zeta_N].
-    """
-    if x.is_zero:
-        raise ZeroDivisionError("cannot invert zero")
-    if cap is None:
-        cap = 2 * (p - 1)
-    adj, n = _adjugate(x)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if abs(n) == 1:
-        q = CycNum(adj * n, p, k)
-        if q.k <= cap:
-            return q
-    raise PPowerInversionError(f"no q with q*x = {p}**k for k <= {cap}")
 
 
 def _cofactor(N: int, p: int) -> CycInt:

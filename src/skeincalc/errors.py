@@ -13,14 +13,6 @@ class ModulusMismatchError(CalcError):
     """Two cyclotomic values from different rings were combined."""
 
 
-class ExactDivisionError(CalcError):
-    """The quotient does not exist in Z[zeta_N]."""
-
-
-class PPowerInversionError(CalcError):
-    """No multiple of the element equals p**k within the search cap."""
-
-
 class UnsupportedPrimeError(CalcError):
     """The requested constant is pinned only for specific primes."""
 

@@ -13,7 +13,6 @@ and read its last two pivots off the determinantal divisors.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -73,20 +72,36 @@ def _tail(X) -> list[int]:
     """Nonzero Smith pivots of a matrix with one or two columns.
 
     They are read off the determinantal divisors: d1 is the gcd of the
-    entries and d1*d2 the gcd of the 2x2 minors.  Every minor is a multiple
-    of d1**2, so the scan stops once the gcd reaches it.
+    entries and d1*d2 the gcd of the 2x2 minors, which is a*c for a basis
+    (a, b), (0, c) of the row lattice.  A row (x, y) joins that basis with
+    a' = gcd(a, x) and c' = gcd(c, (a*y - b*x) / a'); b' comes from the
+    extended gcd, and the last row needs none, since then
+    d1 = gcd(a', b, c', y).  O(rows) in all.
     """
-    d1 = math.gcd(*(x for row in X for x in row))
+    if len(X[0]) == 1:
+        d1 = math.gcd(*(row[0] for row in X))
+        return [d1] if d1 else []
+    a = b = c = 0
+    for x, y in X[:-1]:
+        if not x:
+            c = math.gcd(c, y)
+        elif not a:
+            a, b = x, y
+        else:
+            g = math.gcd(a, x)
+            c = math.gcd(c, (a * y - b * x) // g)
+            if g != a and g != -a:
+                s = pow(a // g, -1, x // g)
+                a, b = g, s * b + (g - s * a) // x * y
+                if c:
+                    b %= c
+    x, y = X[-1]
+    g = math.gcd(a, x)
+    c = math.gcd(c, (a * y - b * x) // g if g else y)
+    d1 = math.gcd(g, b, c, y)
     if not d1:
         return []
-    if len(X[0]) == 1:
-        return [d1]
-    floor, g = d1 * d1, 0
-    for (a, b), (c, d) in combinations(X, 2):
-        g = math.gcd(g, a * d - b * c)
-        if g == floor:
-            return [d1, d1]
-    return [d1, g // d1] if g else [d1]
+    return [d1, g * c // d1] if g and c else [d1]
 
 
 def _diagonalise(X: list[list[int]], Tx=None, Ty=None):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from . import intlinalg
+import skeincalc
+
 from .cyclotomic import CycNum, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
 from .skein import (SkeinElem, eta, eta_squared, hopf_points, omega, phase_pinned,
@@ -149,6 +150,10 @@ class AbelianGroup:
 
 
 def homology_from_matrix(mat) -> AbelianGroup:
-    """First homology presented by a square linking matrix (its cokernel)."""
-    free_rank, torsion = intlinalg.cokernel(mat)
+    """First homology presented by a square linking matrix (its cokernel).
+
+    intlinalg loads on the first call, through the package namespace, so a
+    command that never asks for homology does not compile it.
+    """
+    free_rank, torsion = skeincalc.intlinalg.cokernel(mat)
     return AbelianGroup(free_rank, torsion)

@@ -19,7 +19,10 @@ and column operations, where the package clears one column at a time by
 Euclid on the rows; a prime-power order is factored by trial division, where
 the package takes one gcd with a product of small primes.  The cofactor of
 (1 - zeta_p) in p is the product of the other 1 - zeta_p**a, where the
-package sums it in closed form.
+package sums it in closed form.  Exact division and inversion up to a power
+of p go through the Galois norm; the package never divides in the ring.  The
+orbit-collapse sum multiplies the weights sequence by sequence, where the
+package multiplies them once per color multiset.
 """
 
 from __future__ import annotations
@@ -29,20 +32,20 @@ import itertools
 import math
 from functools import lru_cache
 
-from skeincalc.congruence import CongruenceVerdict
+from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, canonical_orbit
 from skeincalc.cyclotomic import (
     CycInt,
     CycNum,
     ResidueClass,
-    divide_exact,
     from_int,
     is_prime,
     mod_p,
     one,
     ring_modulus,
     root,
+    zero,
 )
-from skeincalc.errors import InconsistencyError
+from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
 from skeincalc.linkform import _iroot
 from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order
 
@@ -55,6 +58,77 @@ def numeric(x, N=None):
         N = x.modulus
     z = cmath.exp(2j * cmath.pi / N)
     return sum(c * z ** i for i, c in enumerate(x.coeffs))
+
+
+class ExactDivisionError(CalcError):
+    """The quotient does not exist in Z[zeta_N]."""
+
+
+class PPowerInversionError(CalcError):
+    """No multiple of the element equals p**k within the search cap."""
+
+
+def _adjugate(y: CycInt) -> tuple[CycInt, int]:
+    """adj = product of sigma_a(y) over a in (Z/N)^*, a != 1, and the norm n.
+
+    sigma_a sends zeta to zeta**a.  y * adj is the Galois norm of y, a
+    rational integer n, nonzero when y is.
+    """
+    N = y.modulus
+    adj = one(N)
+    for a in range(2, N):
+        if math.gcd(a, N) == 1:
+            image = [0] * N
+            for i, c in enumerate(y.coeffs):
+                image[a * i % N] += c
+            adj = adj * CycInt.from_poly(N, image)
+    n, *rest = (y * adj).coeffs
+    if any(rest):
+        raise InconsistencyError(f"the norm of ({y}) is not a rational integer")
+    return adj, n
+
+
+def divide_exact(x: CycInt, y: CycInt) -> CycInt:
+    """The q with q*y = x, or ExactDivisionError when x is not in (y).
+
+    q = x * adj / n with adj, n from _adjugate(y); since the power basis is a
+    Z-basis of Z[zeta_N], q is integral iff n divides every coefficient.
+    """
+    if x.modulus != y.modulus:
+        raise ModulusMismatchError("operands live in different rings")
+    if y.is_zero:
+        raise ZeroDivisionError("division by zero in Z[zeta_N]")
+    if x.is_zero:
+        return zero(x.modulus)
+    adj, n = _adjugate(y)
+    q = (x * adj).coeffs
+    if any(c % n for c in q):
+        raise ExactDivisionError(f"({x}) is not divisible by ({y})")
+    return CycInt(x.modulus, [c // n for c in q])
+
+
+def invert_p_power(x: CycInt, p: int, cap: int | None = None) -> CycNum:
+    """Smallest k <= cap with p**k in the ideal (x), returned as q/p**k.
+
+    The result is the inverse of x in Z[zeta_N][1/p] when it exists with
+    exponent at most cap (default 2(p-1)).  It is adj / n with adj, n from
+    _adjugate(x), which exists iff |n| is a power of p; the reduction of
+    CycNum leaves the smallest k because then q is not in p Z[zeta_N].
+    """
+    if x.is_zero:
+        raise ZeroDivisionError("cannot invert zero")
+    if cap is None:
+        cap = 2 * (p - 1)
+    adj, n = _adjugate(x)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    if abs(n) == 1:
+        q = CycNum(adj * n, p, k)
+        if q.k <= cap:
+            return q
+    raise PPowerInversionError(f"no q with q*x = {p}**k for k <= {cap}")
 
 
 @lru_cache(maxsize=None)
@@ -459,3 +533,21 @@ def prime_power_by_trial_division(q: int) -> tuple[int, int]:
     if p ** t != q or not is_prime(p):
         raise ValueError("summand order must be a prime power")
     return p, t
+
+
+def orbit_check_by_sequence(weights, orbit_values, p: int) -> OrbitCheckReport:
+    """The orbit-collapse check with every sequence's weights multiplied in turn."""
+    weights = list(weights)
+    num_colors = len(weights)
+    lhs = 0
+    for seq in itertools.product(range(num_colors), repeat=p):
+        term = orbit_values[canonical_orbit(seq)]
+        for i in seq:
+            term = term * weights[i]
+        lhs = lhs + term
+    rhs = 0
+    for j in range(num_colors):
+        rhs = rhs + weights[j] ** p * orbit_values[canonical_orbit((j,) * p)]
+    diff = lhs - rhs
+    congruent = mod_p(diff, p).is_zero if isinstance(diff, CycInt) else diff % p == 0
+    return OrbitCheckReport(lhs, rhs, congruent, num_colors ** p)

@@ -21,6 +21,7 @@ from skeincalc.skein import kappa
 
 from oracles import (
     kappa_order_by_search,
+    orbit_check_by_sequence,
     phase_verdict_by_search,
     random_cycint,
     verdict_by_enumeration,
@@ -197,6 +198,33 @@ def test_orbit_check_randomized_ring_instances():
         report = orbit_congruence_check(weights, values, 5)
         assert report.congruent, f"trial {trial} failed"
         assert report.sequences_checked == colors ** 5
+
+
+def test_orbit_check_matches_the_sequence_by_sequence_sum():
+    # one weight product per color multiset gives the same lhs, rhs and
+    # verdict as multiplying every sequence's weights: ring weights at the
+    # benchmark's (p, colors), int weights, one color, and a composite
+    # length 4, whose orbits of size 2 break the congruence
+    rng = random.Random(49)
+
+    def ints():
+        return rng.randint(-9, 9)
+
+    cases = [(p, colors, lambda p=p: random_cycint(rng, ring_modulus(p)))
+             for p, colors in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (5, 1))]
+    cases += [(5, 3, ints), (7, 1, ints), (4, 2, ints)]
+    verdicts = set()
+    for p, colors, draw in cases:
+        for _ in range(3):
+            weights = [draw() for _ in range(colors)]
+            values = {rep: draw() for rep in necklace_orbits(colors, p)}
+            got = orbit_congruence_check(weights, values, p)
+            want = orbit_check_by_sequence(weights, values, p)
+            assert (got.lhs, got.rhs, got.congruent, got.sequences_checked) == \
+                (want.lhs, want.rhs, want.congruent, want.sequences_checked), (p, colors)
+            assert type(got.lhs) is type(want.lhs)
+            verdicts.add(got.congruent)
+    assert verdicts == {True, False}
 
 
 def test_orbit_check_cap():

@@ -41,7 +41,7 @@ def test_bare_import_loads_only_the_ring_and_the_errors():
 @pytest.mark.parametrize("argv, layers", [
     (["hopf", "--p", "5", "--n", "2"], ("skein",)),
     (["invariant", "--p", "5"], ("congruence", "intlinalg", "invariants", "skein")),
-    (["valuation", "--p", "7"], ("congruence", "intlinalg", "invariants", "skein")),
+    (["valuation", "--p", "7"], ("congruence", "invariants", "skein")),
     (["homology", "--matrix", "0,5;5,5"], ("intlinalg", "invariants", "skein")),
     (["cover", "analyze", "--form", "A25+B5[2]", "--char", "tors:1/5,0"],
      ("intlinalg", "linkform")),
@@ -52,6 +52,14 @@ def test_each_command_loads_only_its_layers(argv, layers):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
     assert loaded_after(code) == sorted(CLI + layers)
+
+
+def test_invariants_loads_intlinalg_on_the_first_homology():
+    before = loaded_after("import skeincalc.invariants")
+    assert "intlinalg" not in before and "invariants" in before
+    after = loaded_after("import skeincalc.invariants as inv\n"
+                         "print(inv.homology_from_matrix([[0, 5], [5, 5]]))")
+    assert after == sorted({*before, "intlinalg"})
 
 
 def test_public_names_are_their_home_modules_objects():

@@ -150,6 +150,11 @@ def oracle_cases():
             for b in (a, rank_one, zero_col):
                 cases += [b, [list(col) for col in zip(*b)]]
         cases.append([[0, 0] for _ in range(h)])
+    # tall blocks whose minors' gcd never reaches d1**2: rank one, and
+    # d2 = 7 d1; the row-lattice basis keeps them linear in the height
+    v = [rng.randint(-9, 9) for _ in range(2)]
+    cases.append([[c * x for x in v] for c in (rng.randint(-9, 9) for _ in range(1000))])
+    cases.append([[rng.randint(-9, 9), 7 * rng.randint(-9, 9)] for _ in range(1000)])
     return cases
 
 

@@ -1,5 +1,6 @@
-"""Property tests for the ring axioms and the norm-based division,
-inversion and valuation, on both ring shapes N = 2p and N = 4p.
+"""Property tests for the ring axioms, the valuation and the norm-based
+division and inversion of tests/oracles.py, on both ring shapes N = 2p and
+N = 4p.
 
 Every expected value is built from ring multiplication alone, so these
 checks do not share the Galois-norm path they test.
@@ -11,17 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeincalc.cyclotomic import (
-    CycInt,
-    divide_exact,
-    euler_phi,
-    invert_p_power,
-    one,
-    root,
-    valuation,
-    zero,
-)
-from skeincalc.errors import ExactDivisionError
+from oracles import ExactDivisionError, divide_exact, invert_p_power
+from skeincalc.cyclotomic import CycInt, euler_phi, one, root, valuation, zero
 
 # conductor N -> the odd prime p with zeta_p in Z[zeta_N]
 RINGS = {14: 7, 20: 5, 22: 11, 52: 13}

@@ -18,18 +18,28 @@ def test_no_assert_statements():
 
 
 def test_pipeline_modules_do_not_divide():
-    # the brackets and eta^2 are closed forms; the Galois-adjugate division
-    # and inversion stay public but off the pipeline
-    banned = {"divide_exact", "invert_p_power"}
+    # nothing in the package divides in the ring: the Galois-adjugate
+    # division and inversion are test oracles (tests/oracles.py)
+    banned = {"divide_exact", "invert_p_power", "_adjugate"}
     found = []
-    for name in ("skein.py", "invariants.py"):
-        tree = ast.parse((SOURCE / name).read_text(), name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                found += [f"{name}: {a.name}" for a in node.names if a.name in banned]
-            elif isinstance(node, ast.Attribute) and node.attr in banned:
-                found.append(f"{name}:{node.lineno}: {node.attr}")
-    assert not found, f"division on the pipeline: {found}"
+    for path in sorted(SOURCE.glob("*.py")):
+        name = path.name
+        for node in ast.walk(ast.parse(path.read_text(), name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.rpartition(".")[2] for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Constant):
+                names = [node.value]  # an __all__ entry or a getattr name
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: {n}" for n in names if n in banned]
+    assert SOURCE.is_dir()
+    assert not found, f"division in the package: {found}"
 
 
 def _runs_at_import(tree):
