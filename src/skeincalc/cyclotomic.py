@@ -3,7 +3,10 @@
 Elements are integer vectors in the power basis 1, zeta, ..., zeta**(phi(N)-1),
 kept reduced modulo the N-th cyclotomic polynomial, so equality is plain
 coefficient comparison.  All coefficients are arbitrary-precision ints;
-nothing here is floating point.
+nothing here is floating point.  N must be p, 2p or 4p for an odd prime p;
+then Phi_N(x) = Phi_p(s * x**m) with s = +-1, m = 1 or 2 (`_shape`), and
+every reduction is the one closed-form fold `_reduce`, with no polynomial
+division.
 
 For an odd prime p the ambient ring is Z[zeta_N] with N = ring_modulus(p)
 (4p or 2p).  It contains the primitive 2p-th root A used by the skein
@@ -17,12 +20,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .errors import (
-    InconsistencyError,
-    InvalidPrimeError,
-    ModulusMismatchError,
-    NonIntegralError,
-)
+from .errors import InvalidPrimeError, ModulusMismatchError, NonIntegralError
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -82,101 +80,69 @@ def ring_modulus(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    out = n
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out -= out // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out -= out // m
-    return out
+def _shape(N: int) -> tuple[int, int, int]:
+    """(p, m, s) with Phi_N(x) = Phi_p(s * x**m), for N = p, 2p or 4p, p odd prime.
 
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of ascending-coefficient integer polynomials.
-
-    ``den`` must be monic, which keeps everything in Z.
+    Phi_2p(x) = Phi_p(-x) and Phi_4p(x) = Phi_p(-x**2) (Washington,
+    Introduction to Cyclotomic Fields, ch. 2); every other N is refused.
     """
-    num = list(num)
-    dn = len(den) - 1
-    if len(num) <= dn:
-        return [], num + [0] * (dn - len(num))
-    quot = [0] * (len(num) - dn)
-    for i in reversed(range(len(quot))):
-        c = num[i + dn]
+    for k, m, s in ((1, 1, 1), (2, 1, -1), (4, 2, -1)):
+        p, r = divmod(N, k)
+        if not r and p % 2 and is_prime(p):
+            return p, m, s
+    raise ValueError(f"Z[zeta_{N}] needs N = p, 2p or 4p for an odd prime p")
+
+
+@lru_cache(maxsize=None)
+def euler_phi(N: int) -> int:
+    """Degree of Phi_N: m * (p - 1) with (p, m, s) = _shape(N)."""
+    p, m, _ = _shape(N)
+    return m * (p - 1)
+
+
+def _reduce(N: int, v) -> list[int]:
+    """The list of ints v, coefficients of 1, t, t**2, ..., reduced into the basis.
+
+    Folds t**N = 1, then t**(N/2) = -1 for even N, which leaves m*p terms;
+    then the top m fold in one O(phi) pass by Phi_p(s * x**m) = 0, i.e.
+    x**(m(p-1)+r) = -sum_{k<p-1} s**k x**(mk+r).  v is not modified.
+    """
+    p, m, s = _shape(N)
+    if len(v) > N:
+        w = v[:N]
+        for i in range(N, len(v), N):
+            chunk = v[i:i + N]
+            w[:len(chunk)] = map(operator.add, w, chunk)
+        v = w
+    size = m * p
+    if len(v) > size:
+        head, tail = v[:size], v[size:]
+        head[:len(tail)] = map(operator.sub, head, tail)
+        v = head
+    phi = size - m
+    out = v[:phi] + [0] * (phi - len(v))
+    step = m if s == 1 else 2 * m
+    for r, c in enumerate(v[phi:]):
         if c:
-            quot[i] = c
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return quot, num[:dn]
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
-    """Coefficients of Phi_N, ascending, monic of degree phi(N)."""
-    poly = [-1] + [0] * (N - 1) + [1]
-    for d in range(1, N):
-        if N % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            if any(rem):
-                raise InconsistencyError(f"Phi_{d} does not divide x^{N} - 1")
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _reduction_table(N: int) -> tuple[tuple[int, ...], ...]:
-    """Rows give x**(phi+k) mod Phi_N for k = 0 .. phi-2 (the mul overflow range)."""
-    phi = euler_phi(N)
-    head = cyclotomic_polynomial(N)[:phi]
-    rows = [tuple(-c for c in head)]
-    for _ in range(phi - 2):
-        prev = rows[-1]
-        lead = prev[-1]
-        row = [0] + list(prev[:-1])
-        if lead:
-            for i, t in enumerate(rows[0]):
-                row[i] += lead * t
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _fold(c, table):
-    """Reduce a convolution row c (length up to 2*phi - 1) into the basis.
-
-    ``table[k]`` holds the power-basis coefficients of x**(phi + k) modulo
-    the cyclotomic polynomial, so the tail folds back without any
-    polynomial division.
-    """
-    phi = len(c) // 2 + 1
-    out = c[:phi]
-    for k in range(phi, len(c)):
-        ck = c[k]
-        if ck:
-            for i, ri in enumerate(table[k - phi]):
-                if ri:
-                    out[i] += ck * ri
+            out[r::step] = [a - c for a in out[r::step]]
+            if s == -1:
+                out[r + m::step] = [a + c for a in out[r + m::step]]
     return out
 
 
-def mul_reduce(a, b, table):
-    """Product of two power-basis vectors, reduced into the basis.
+def mul_reduce(a, b, N: int):
+    """Product of two power-basis vectors of Z[zeta_N], reduced into the basis.
 
-    ``a`` and ``b`` are equal-length sequences of ints and ``table`` is
-    ``_reduction_table(N)``.  Returns a list of length ``len(a)``.
+    ``a`` and ``b`` are sequences of phi(N) ints.  Returns a list of phi(N)
+    ints.
     """
-    phi = len(a)
-    c = [0] * (2 * phi - 1)
+    c = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     c[i + j] += ai * bj
-    return _fold(c, table)
+    return _reduce(N, c)
 
 
 def format_poly(coeffs, symbol: str) -> str:
@@ -216,11 +182,7 @@ class CycInt:
     @classmethod
     def from_poly(cls, modulus: int, coeffs) -> "CycInt":
         """Reduce an arbitrary-degree coefficient sequence modulo Phi_N."""
-        phi = euler_phi(modulus)
-        coeffs = [operator.index(c) for c in coeffs]
-        if len(coeffs) > phi:
-            _, coeffs = _poly_divmod(coeffs, list(cyclotomic_polynomial(modulus)))
-        return cls(modulus, coeffs + [0] * (phi - len(coeffs)))
+        return _make(modulus, tuple(_reduce(modulus, [operator.index(c) for c in coeffs])))
 
     @property
     def is_zero(self) -> bool:
@@ -266,7 +228,7 @@ class CycInt:
         if o is None:
             return NotImplemented
         return _make(self.modulus,
-                     tuple(mul_reduce(self.coeffs, o.coeffs, _reduction_table(self.modulus))))
+                     tuple(mul_reduce(self.coeffs, o.coeffs, self.modulus)))
 
     __rmul__ = __mul__
 
@@ -333,11 +295,7 @@ def from_int(N: int, n: int) -> CycInt:
 
 def root(N: int, j: int) -> CycInt:
     """zeta_N**j as a canonical ring element; j may be negative."""
-    j %= N
-    phi = euler_phi(N)
-    if j < phi:
-        return CycInt(N, [1 if i == j else 0 for i in range(phi)])
-    return CycInt.from_poly(N, [0] * j + [1])
+    return CycInt.from_poly(N, [0] * (j % N) + [1])
 
 
 class CycNum:
@@ -486,7 +444,7 @@ class ResidueClass:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = mul_reduce(self.coeffs, o.coeffs, _reduction_table(self.modulus))
+        prod = mul_reduce(self.coeffs, o.coeffs, self.modulus)
         return _residue(self.modulus, self.p, prod)
 
     def __eq__(self, other):

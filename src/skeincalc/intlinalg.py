@@ -1,13 +1,12 @@
-"""Exact integer linear algebra: Smith normal form, solvability, cokernels.
+"""Exact integer linear algebra: invariant factors, cokernels, solvability.
 
 Matrices are lists of lists of arbitrary-precision ints; no floating point.
 Everything runs through one kernel, `_clear_leading`, which clears the
 leading column of a list of rows by unimodular 2x2 row operations.  A column
-operation is the same kernel applied to the transpose.  Transforms are
-carried as extra entries appended to the rows being reduced (U beside the
-rows, the columns of V beside the transposed rows), so only the Smith form
-itself builds them; `diagonal_entries` and `cokernel` reduce the bare matrix,
-and read its last two pivots off the determinantal divisors.
+operation is the same kernel applied to the transpose.  `diagonal_entries`
+and `cokernel` reduce the bare matrix and read its last two pivots off the
+determinantal divisors; `solve` carries the unit vectors beside the columns
+it reduces.
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ def _rows(mat) -> list[list[int]]:
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows have unequal lengths")
     return rows
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b > 0."""
-    g = math.gcd(a, b)
-    s = pow(a // g, -1, b // g)
-    return g, s, (g - s * a) // b
 
 
 def _clear_leading(rows: list[list[int]]) -> None:
@@ -104,64 +96,32 @@ def _tail(X) -> list[int]:
     return [d1, g * c // d1] if g and c else [d1]
 
 
-def _diagonalise(X: list[list[int]], Tx=None, Ty=None):
+def _diagonalise(X: list[list[int]]) -> list[int]:
     """Diagonal of the Smith form of X, before the divisibility chain.
 
     Alternates row and column passes of the kernel, peeling off a finished
     pivot row and column whenever the pivot divides the rest of its row:
     clearing that row only changes the row itself.  A zero leading column is
-    set aside.  Without transforms the result is the list of pivots, each
-    positive, and once at most two rows or columns are left `_tail` gives
-    the last of them.  With them, Tx holds one row per row of X and Ty one
-    per column of X: the rows of U and the columns of V, which swap roles
-    with each transpose.  The result is then (pivots, U rows, V columns),
-    the first len(pivots) of each belonging to the pivots in turn.
+    set aside.  The pivots are positive, and once at most two rows or
+    columns are left `_tail` gives the last of them.
     """
-    track = Tx is not None
-    pivots, pivot_u, pivot_v, rest_u, rest_v = [], [], [], [], []
-    flipped = False
+    pivots = []
     while X and X[0]:
         w = len(X[0])
-        if not track and (w <= 2 or len(X) <= 2):
+        if w <= 2 or len(X) <= 2:
             pivots += _tail(X if w <= 2 else list(zip(*X)))
             break
-        if track:
-            A = [x + t for x, t in zip(X, Tx)]
-            _clear_leading(A)
-            X, Tx = [a[:w] for a in A], [a[w:] for a in A]
-        else:
-            _clear_leading(X)
+        _clear_leading(X)
         top = X[0]
         a = top[0]
         if not a:
             X = [x[1:] for x in X]
-            if track:
-                (rest_u if flipped else rest_v).append(Ty[0])
-                Ty = Ty[1:]
-            continue
-        if a not in (1, -1) and any(x % a for x in top[1:]):
+        elif a not in (1, -1) and any(x % a for x in top[1:]):
             X = [list(col) for col in zip(*X)]
-            Tx, Ty = Ty, Tx
-            flipped = not flipped
-            continue
-        if track:
-            y0 = Ty[0]
-            for j in range(1, w):
-                q = top[j] // a
-                if q:
-                    Ty[j] = [y - q * z for y, z in zip(Ty[j], y0)]
-            x0 = Tx[0] if a > 0 else [-z for z in Tx[0]]
-            u, v = (y0, x0) if flipped else (x0, y0)
-            pivot_u.append(u)
-            pivot_v.append(v)
-            Tx, Ty = Tx[1:], Ty[1:]
-        pivots.append(abs(a))
-        X = [x[1:] for x in X[1:]]
-    if not track:
-        return pivots
-    if flipped:
-        Tx, Ty = Ty, Tx
-    return pivots, pivot_u + Tx + rest_u, pivot_v + Ty + rest_v
+        else:
+            pivots.append(abs(a))
+            X = [x[1:] for x in X[1:]]
+    return pivots
 
 
 def diagonal_entries(mat) -> list[int]:
@@ -182,36 +142,6 @@ def cokernel(mat) -> tuple[int, list[int]]:
     """(free_rank, invariant factors > 1) of Z^rows / column-span(mat)."""
     diag = diagonal_entries(mat)
     return len(mat) - len(diag), [d for d in diag if d > 1]
-
-
-def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(D, U, V) with U*mat*V = D, U and V unimodular.
-
-    D is diagonal with nonnegative entries and each diagonal entry divides
-    the next.
-    """
-    X = _rows(mat)
-    m = len(X)
-    n = len(X[0]) if m else 0
-    d, U, Vt = _diagonalise(X, _identity(m), _identity(n))
-    # pairwise (gcd, lcm), realised by [[s, t], [-b/g, a/g]] on the rows of U
-    # and [[1, -t*b/g], [1, s*a/g]] on the columns of V
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            a, b = d[i], d[j]
-            if b % a:
-                g, s, t = _xgcd(a, b)
-                a, b = a // g, b // g
-                ui, uj, vi, vj = U[i], U[j], Vt[i], Vt[j]
-                U[i] = [s * x + t * y for x, y in zip(ui, uj)]
-                U[j] = [a * y - b * x for x, y in zip(ui, uj)]
-                Vt[i] = [x + y for x, y in zip(vi, vj)]
-                Vt[j] = [s * a * y - t * b * x for x, y in zip(vi, vj)]
-                d[i], d[j] = g, a * b * g
-    D = [[0] * n for _ in range(m)]
-    for i, x in enumerate(d):
-        D[i][i] = x
-    return D, U, [list(col) for col in zip(*Vt)]
 
 
 def solve(mat, rhs) -> list[int] | None:

@@ -45,7 +45,7 @@ def quantum_int(p: int, k: int) -> CycInt:
     """[k] = (A^2k - A^-2k) / (A^2 - A^-2) = sum over i < k of A^(2(k-1-2i))."""
     if k < 1:
         raise ValueError("quantum integers are defined for k >= 1")
-    # A^2 = zeta_N^(N/p); the powers are reduced modulo Phi_N once
+    # A^2 = zeta_N^(N/p); the powers are reduced into the basis once
     N = ring_modulus(p)
     coeffs = [0] * N
     for i in range(k):
@@ -183,7 +183,7 @@ def point_eval(x: SkeinElem, j: int) -> CycNum:
     down gives x(z) = b_0.  The b_k are numerators over the common
     denominator p^K, kept as vectors in Z[t]/(t^N - 1), t = zeta_N, where
     multiplying by z_j is two rotations by s = jN/p.  b_0 is reduced
-    modulo Phi_N once, after folding with t^(N/2) = -1.
+    into the basis once.
     """
     p = x.p
     N = ring_modulus(p)
@@ -197,8 +197,7 @@ def point_eval(x: SkeinElem, j: int) -> CycNum:
         up = b1[N - s:] + b1[:N - s]
         down = b1[s:] + b1[:s]
         b1, b2 = [a - u - d - e for a, u, d, e in zip(b0, up, down, b2)], b1
-    half = N // 2
-    return CycNum(CycInt.from_poly(N, [a - b for a, b in zip(b1[:half], b1[half:])]), p, K)
+    return CycNum(CycInt.from_poly(N, b1), p, K)
 
 
 def plane_eval(x: SkeinElem) -> CycNum:

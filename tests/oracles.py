@@ -22,7 +22,10 @@ the package takes one gcd with a product of small primes.  The cofactor of
 package sums it in closed form.  Exact division and inversion up to a power
 of p go through the Galois norm; the package never divides in the ring.  The
 orbit-collapse sum multiplies the weights sequence by sequence, where the
-package multiplies them once per color multiset.
+package multiplies them once per color multiset.  Phi_N is found by dividing
+x^N - 1 by every Phi_d, d | N, d < N, and a vector is reduced modulo it by
+long division, where the package folds t^N = 1, t^(N/2) = -1 and
+Phi_p(s x^m) = 0 in closed form.
 """
 
 from __future__ import annotations
@@ -48,6 +51,42 @@ from skeincalc.cyclotomic import (
 from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
 from skeincalc.linkform import _iroot
 from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order
+
+
+def poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ascending-coefficient integer polynomials.
+
+    ``den`` must be monic, which keeps everything in Z.
+    """
+    num = list(num)
+    dn = len(den) - 1
+    if len(num) <= dn:
+        return [], num + [0] * (dn - len(num))
+    quot = [0] * (len(num) - dn)
+    for i in reversed(range(len(quot))):
+        c = num[i + dn]
+        if c:
+            quot[i] = c
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+    return quot, num[:dn]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
+    """Coefficients of Phi_N, ascending: x^N - 1 divided by every Phi_d, d | N, d < N."""
+    poly = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            poly, rem = poly_divmod(poly, list(cyclotomic_polynomial(d)))
+            if any(rem):
+                raise InconsistencyError(f"Phi_{d} does not divide x^{N} - 1")
+    return tuple(poly)
+
+
+def reduce_by_division(N: int, coeffs) -> list[int]:
+    """The remainder of sum c_i x^i modulo Phi_N, padded to phi(N) entries."""
+    return poly_divmod(list(coeffs), list(cyclotomic_polynomial(N)))[1]
 
 
 def numeric(x, N=None):

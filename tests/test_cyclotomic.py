@@ -9,7 +9,6 @@ from skeincalc.cyclotomic import (
     CycInt,
     CycNum,
     ResidueClass,
-    cyclotomic_polynomial,
     euler_phi,
     from_int,
     is_prime,
@@ -25,10 +24,12 @@ from skeincalc.errors import InvalidPrimeError, ModulusMismatchError, NonIntegra
 from oracles import (
     ExactDivisionError,
     PPowerInversionError,
+    cyclotomic_polynomial,
     divide_exact,
     invert_p_power,
     numeric,
     random_cycint,
+    reduce_by_division,
     valuation_cofactor_product,
 )
 
@@ -49,10 +50,12 @@ def test_cyclotomic_polynomial_vs_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for N in USED_MODULI:
-        ours = cyclotomic_polynomial(N)
-        theirs = sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()[::-1]
-        assert list(ours) == [int(c) for c in theirs]
-        assert len(ours) == euler_phi(N) + 1
+        theirs = [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()[::-1]]
+        phi = euler_phi(N)
+        assert len(theirs) == phi + 1
+        # x^phi = -(the lower terms of Phi_N), in closed form and by the oracle
+        assert cyclotomic._reduce(N, [0] * phi + [1]) == [-c for c in theirs[:phi]]
+        assert list(cyclotomic_polynomial(N)) == theirs
 
 
 def test_root_examples():
@@ -120,6 +123,15 @@ def test_modulus_mismatch():
         root(20, 1) + root(14, 1)
     with pytest.raises(ModulusMismatchError):
         root(20, 1) * root(14, 1)
+    # only N = p, 2p or 4p with p an odd prime is a ring here
+    for bad in (0, -20, 1, 2, 8, 9, 18, 24, 30, 36):
+        with pytest.raises(ValueError, match="needs N = p, 2p or 4p"):
+            CycInt(bad, [])
+        with pytest.raises(ValueError, match="needs N = p, 2p or 4p"):
+            ResidueClass(bad, 3, [])
+    assert euler_phi(12) == 4
+    assert CycInt(12, [0, 1, 0, 0]) == root(12, 1)
+    assert root(12, 1) ** 6 == -1
 
 
 def test_int_coercion():
@@ -313,3 +325,13 @@ def test_reduction_is_idempotent():
     for i in range(25):
         acc = acc + root(20, i)
     assert y == acc
+    # the closed-form reduction against long division by Phi_N, at every
+    # shape N = p, 2p, 4p and lengths from 1 to 3N
+    for p in range(3, 110, 2):
+        if not is_prime(p):
+            continue
+        for N in (p, 2 * p, 4 * p):
+            phi = euler_phi(N)
+            for length in (1, phi, 2 * phi - 1, N, N + 7, 3 * N):
+                v = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(length)]
+                assert cyclotomic._reduce(N, v) == reduce_by_division(N, v), (N, length)
