@@ -1,23 +1,25 @@
 """Command-line driver: every computation as a subcommand, text or JSON out.
 
 Exit codes: 0 success, 1 domain errors (CalcError), 2 argument errors.
-SKEINCALC_FORMAT=json switches the default output format.  Each handler
-imports the layers it calls, so a command loads only those.
+SKEINCALC_FORMAT=json switches the default output format.  Arguments are
+parsed from one option table, COMMANDS, without argparse: a command loads no
+argument-parsing library.  Each handler imports the layers it calls, so a
+command loads only those.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .cyclotomic import CycInt, euler_phi, is_prime, ring_modulus
 from .errors import CalcError, TooLargeError
 
 # the largest p that valuation and hopf accept: valuation --p 101 takes
-# about 0.65 s on a 2-CPU machine (0.25 s at p = 61)
+# about 0.37 s on a 2-CPU machine (0.15 s at p = 61)
 MAX_P = 101
-# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 2.3 s
+# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 2.0 s
 MAX_N = 1000
 # the most rows or columns that homology accepts: a random 60x60 matrix takes
 # about 0.15 s with one-digit entries and about 2.9 s with the 33-digit
@@ -28,18 +30,17 @@ MAX_MATRIX_DIM = 60
 MAX_FACTOR_DIGITS = 4000
 
 
+def _nonneg(text: str) -> int:
+    if (n := int(text)) < 0:
+        raise ValueError("value must be >= 0")
+    return n
+
+
 def _prime_arg(min_p: int):
     def parse(text: str) -> int:
-        try:
-            p = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        try:
-            ok = p >= min_p and p % 2 == 1 and is_prime(p)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-        if not ok:
-            raise argparse.ArgumentTypeError(f"p must be an odd prime >= {min_p}, got {p}")
+        # is_prime raises ValueError past the exact range of its test
+        if not ((p := int(text)) >= min_p and p % 2 == 1 and is_prime(p)):
+            raise ValueError(f"p must be an odd prime >= {min_p}, got {p}")
         return p
     return parse
 
@@ -49,72 +50,112 @@ def _check_cap(name: str, value: int, cap: int) -> None:
         raise TooLargeError(f"{name}={value} is above the cap {cap} for this command")
 
 
-def _nonneg(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if n < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return n
+REQUIRED = object()
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skeincalc",
-        description="Exact quantum-invariant, congruence and linking-form calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _options(command: str) -> dict:
+    return {**COMMANDS[command][2], "--json": (
+        bool, os.environ.get("SKEINCALC_FORMAT") == "json", "emit JSON instead of text")}
 
-    def add_json_flag(sp):
-        sp.add_argument("--json", action="store_true",
-                        default=os.environ.get("SKEINCALC_FORMAT") == "json",
-                        help="emit JSON instead of text")
 
-    sp = sub.add_parser("invariant", help="invariant of the surgered cover, residue "
-                                          "verdict and valuation (p = 5 or 7)")
-    sp.add_argument("--p", type=_prime_arg(5), required=True)
-    add_json_flag(sp)
+def _choices(words: list[str]) -> dict:
+    n = len(words)
+    return {key.split()[n]: help for key, (_, help, _) in COMMANDS.items()
+            if key.split()[:n] == words}
 
-    sp = sub.add_parser("hopf", help="bracket of n +1-framed Hopf fibers")
-    sp.add_argument("--p", type=_prime_arg(5), required=True)
-    sp.add_argument("--n", type=_nonneg, required=True)
-    add_json_flag(sp)
 
-    sp = sub.add_parser("valuation", help="(1-zeta_p)-adic valuation of the cover "
-                                          "invariant vs the quadratic bound and p-1")
-    sp.add_argument("--p", type=_prime_arg(5), required=True)
-    add_json_flag(sp)
+def _exit(words: list[str], error: str | None = None):
+    """Print the usage line and the error and exit 2, or without one the -h text and exit 0."""
+    usage, rows = ["usage: skeincalc", *words, "[-h]"], {"-h, --help": "show this help and exit"}
+    if " ".join(words) not in COMMANDS:
+        rows.update(_choices(words))
+        usage.append(f"{{{','.join(_choices(words))}}} ...")
+    else:
+        for option, (kind, default, help) in _options(" ".join(words)).items():
+            name = option if kind is bool else f"{option} {option[2:].upper()}"
+            name += " ..." * (kind is list)
+            usage.append(name if default is REQUIRED else f"[{name}]")
+            rows[name] = help
+    lines = ([f"  {name:22}{help}" for name, help in rows.items()] if error is None
+             else [f"{' '.join(['skeincalc', *words])}: error: {error}"])
+    print(" ".join(usage), *lines, sep="\n", file=sys.stdout if error is None else sys.stderr)
+    raise SystemExit(0 if error is None else 2)
 
-    sp = sub.add_parser("homology", help="cokernel of an integer matrix")
-    sp.add_argument("--matrix", required=True,
-                    help="rows separated by ';', entries by ',' (e.g. \"0,5;5,5\"); "
-                         "write --matrix=-1,0;0,1 when the literal starts with '-'")
-    add_json_flag(sp)
 
-    cover = sub.add_parser("cover", help="linking-form cover analysis")
-    cover_sub = cover.add_subparsers(dest="cover_command", required=True)
-    sp = cover_sub.add_parser("analyze", help="simplicity, curve selection and "
-                                              "complement test for a character")
-    sp.add_argument("--form", required=True, help='Wall form literal, e.g. "A25+B5[2]"')
-    sp.add_argument("--char", required=True,
-                    help='character literal, e.g. "free:0;tors:1/5,0"')
-    sp.add_argument("--free-rank", type=_nonneg, default=0)
-    sp.add_argument("--order", type=_nonneg, default=None,
-                    help="target order k (default: inferred from denominators)")
-    sp.add_argument("--curves", nargs="*", default=[],
-                    help='curve literals, e.g. "free:0;tors:5,0"')
-    add_json_flag(sp)
+def _classify(token: str, names, words: list[str]):
+    """None for a value, else (option or None if unknown, text after '=' or None).
 
-    sp = sub.add_parser("orbit-check", help="verify the mod-p orbit-collapse "
-                                            "congruence on random ring data")
-    sp.add_argument("--p", type=_prime_arg(3), required=True)
-    sp.add_argument("--colors", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=None,
-                    help="abort if trials * (colors^p + 1) * p^3 exceeds this")
-    add_json_flag(sp)
-    return parser
+    As in argparse, a unique prefix names a long option, text glued to a short
+    flag is its value, and '-...' is an option unless a negative number or spaced.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    prefix, eq, explicit = token.partition("=")
+    if token in names or eq and prefix in names:
+        return prefix, explicit if eq else None
+    if token.startswith("--"):
+        found = [name for name in names if name.startswith(prefix)]
+        if len(found) > 1:
+            _exit(words, f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], explicit if eq else None
+    elif token[:2] in names:
+        return token[:2], token[2:]
+    head, dot, tail = token[1:].partition(".")
+    number = head.isdecimal() and not dot or (not head or head.isdecimal()) and tail.isdecimal()
+    return None if number or " " in token else (None, None)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its option values, read from COMMANDS as argparse read them."""
+    words, extras, options, values, i = [], [], {}, {}, 0
+    # every token after the first '--' is a value, and '--' itself an extra
+    cut = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_classify(token, _HELP, words) for token in argv[:cut]]
+    kinds += [(None, None)] + [None] * (len(argv) - cut - 1)
+    while i < len(argv):
+        token, kind, i = argv[i], kinds[i], i + 1
+        if kind is None and not options:  # the next word of the command
+            if token not in _choices(words):
+                _exit(words, f"argument command: invalid choice: {token!r}")
+            words.append(token)
+            if " ".join(words) in COMMANDS:
+                options = _options(" ".join(words))
+                values = {option: default for option, (_, default, _) in options.items()}
+                kinds[i:cut] = [_classify(t, (*_HELP, *options), words) for t in argv[i:cut]]
+            continue
+        option, explicit = kind or (None, None)
+        if option is None:
+            extras.append(token)
+            continue
+        if option in _HELP:
+            # text glued to -h is read as more short flags, so -hh is -h -h
+            if explicit is None or option == "-h" and explicit and not explicit.strip("h"):
+                _exit(words)
+            _exit(words, f"argument -h/--help: ignored explicit argument {explicit!r}")
+        convert = options[option][0]
+        want = 0 if convert is bool else None if convert is list else 1
+        stop = i
+        while explicit is None and stop < len(argv) and kinds[stop] is None and stop - i != want:
+            stop += 1
+        args, i = argv[i:stop] if explicit is None else [explicit], stop
+        try:
+            if want is not None and len(args) != want:
+                raise ValueError("expected one argument" if want
+                                 else f"ignored explicit argument {explicit!r}")
+            values[option] = (True if convert is bool else args if convert is list
+                              else convert(*args))
+        except ValueError as exc:
+            _exit(words, f"argument {option}: {exc}")
+    missing = ([option for option, value in values.items() if value is REQUIRED]
+               if options else ["command"])
+    if missing:
+        _exit(words, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _exit([], f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=" ".join(words), **{
+        option[2:].replace("-", "_"): value for option, value in values.items()})
 
 
 def _emit(args, record: dict, text_lines) -> None:
@@ -300,7 +341,7 @@ def _cmd_orbit_check(args) -> int:
         weights = [_random_cycint(rng, N) for _ in range(args.colors)]
         values = {rep: _random_cycint(rng, N)
                   for rep in congruence.necklace_orbits(args.colors, p)}
-        reports.append(congruence.orbit_congruence_check(weights, values, p))
+        reports.append(congruence.orbit_congruence_check(weights, values, p, cap))
     all_ok = all(r.congruent for r in reports)
     record = {
         "p": p,
@@ -321,22 +362,38 @@ def _cmd_orbit_check(args) -> int:
     return 0 if all_ok else 1
 
 
-_HANDLERS = {
-    "invariant": _cmd_invariant,
-    "hopf": _cmd_hopf,
-    "valuation": _cmd_valuation,
-    "homology": _cmd_homology,
-    "orbit-check": _cmd_orbit_check,
+# command -> (handler, help, {option: (type, default or REQUIRED, help)}).
+# The type converts one value, but bool marks a flag and list zero or more
+# literals.  Every command also takes -h and --json.
+COMMANDS = {
+    "invariant": (_cmd_invariant, "cover invariant, residue verdict and valuation (p = 5, 7)",
+                  {"--p": (_prime_arg(5), REQUIRED, "5 or 7")}),
+    "hopf": (_cmd_hopf, "bracket of n +1-framed Hopf fibers", {
+        "--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}"),
+        "--n": (_nonneg, REQUIRED, f"number of fibers, at most {MAX_N}")}),
+    "valuation": (_cmd_valuation, "(1-zeta_p)-adic valuation of the cover invariant vs bounds",
+                  {"--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}")}),
+    "homology": (_cmd_homology, "cokernel of an integer matrix", {"--matrix": (str, REQUIRED, (
+        "rows split by ';', entries by ','; --matrix=-1,0;0,1 if it starts with '-'"))}),
+    "cover analyze": (_cmd_cover_analyze, "linking-form cover analysis of a character", {
+        "--form": (str, REQUIRED, 'Wall form literal, e.g. "A25+B5[2]"'),
+        "--char": (str, REQUIRED, 'character literal, e.g. "free:0;tors:1/5,0"'),
+        "--free-rank": (_nonneg, 0, "rank of the free part"),
+        "--order": (_nonneg, None, "target order k (default: inferred from denominators)"),
+        "--curves": (list, [], 'curve literals, e.g. "free:0;tors:5,0"')}),
+    "orbit-check": (_cmd_orbit_check, "mod-p orbit-collapse congruence on random ring data", {
+        "--p": (_prime_arg(3), REQUIRED, "odd prime"),
+        "--colors": (int, 2, "number of colors"),
+        "--seed": (int, 0, "seed of the random ring data"),
+        "--trials": (int, 1, "number of trials"),
+        "--cap": (int, None, "abort if trials * (colors^p + 12) * p^3 exceeds this")}),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "cover":
-            return _cmd_cover_analyze(args)
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except CalcError as exc:
         print(f"skeincalc: {exc}", file=sys.stderr)
         return 1

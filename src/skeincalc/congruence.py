@@ -25,8 +25,11 @@ from .errors import ModulusMismatchError, TooLargeError
 from .skein import kappa_order, kappa_root_exponent
 
 # cap on orbit_sequence_count's work; the slowest accepted CLI call (p = 3,
-# one color, 55,555 trials) takes about 4 s on 2 CPUs
+# 48 colors) takes about 1.5 s on 2 CPUs
 ORBIT_TERM_CAP = 3 * 10 ** 6
+# a trial's own work in sequences: a one-color trial costs as much as 12.0
+# (p = 5) and 12.2 (p = 7) sequences of a 7^5- and a 3^7-sequence trial, 4.6 at p = 3
+ORBIT_TRIAL_SEQUENCES = 12
 
 
 class CongruenceVerdict:
@@ -154,13 +157,14 @@ def orbit_sequence_count(colors: int, p: int, trials: int = 1,
                          cap: int = ORBIT_TERM_CAP) -> int:
     """colors^p, the sequences per trial, once the work is within cap.
 
-    The work is bounded by trials * (colors^p + 1) * p^3: a sequence costs
-    at most p ring products in a ring of dimension below 2p, and the 1 is a
-    trial's own cost.  colors^p is not formed when 2^p alone passes the cap.
+    The work is bounded by trials * (colors^p + ORBIT_TRIAL_SEQUENCES) * p^3:
+    a sequence costs at most p ring products in a ring of dimension below 2p.
+    colors^p is not formed when 2^p alone passes the cap.
     """
     if colors < 1 or trials < 1:
         raise ValueError("need at least one color and one trial")
-    if (colors > 1 and p >= cap.bit_length()) or trials * (colors ** p + 1) * p ** 3 > cap:
+    if (colors > 1 and p >= cap.bit_length()
+            or trials * (colors ** p + ORBIT_TRIAL_SEQUENCES) * p ** 3 > cap):
         raise TooLargeError(f"{trials} trial(s) of {colors}^{p} sequences exceed the cap {cap}")
     return colors ** p
 
@@ -181,7 +185,8 @@ class OrbitCheckReport:
                 f"sequences_checked={self.sequences_checked})")
 
 
-def orbit_congruence_check(weights, orbit_values, p: int) -> OrbitCheckReport:
+def orbit_congruence_check(weights, orbit_values, p: int,
+                           cap: int = ORBIT_TERM_CAP) -> OrbitCheckReport:
     """Verify the mod-p collapse of a shift-invariant sum.
 
     LHS sums (prod of per-position weights) * value over ALL color sequences
@@ -191,6 +196,7 @@ def orbit_congruence_check(weights, orbit_values, p: int) -> OrbitCheckReport:
     Values and weights are either all ints or all CycInt in one ring.
     Non-constant orbits have size p, so LHS = RHS mod p always holds; a
     false verdict indicates a bug in the caller's data or this package.
+    The work is checked against ``cap`` (see orbit_sequence_count).
 
     A sequence's weight product depends only on its multiset of colors, so
     the values are summed per multiset (keyed by the sorted sequence) and
@@ -198,7 +204,7 @@ def orbit_congruence_check(weights, orbit_values, p: int) -> OrbitCheckReport:
     """
     weights = list(weights)
     num_colors = len(weights)
-    total = orbit_sequence_count(num_colors, p)
+    total = orbit_sequence_count(num_colors, p, cap=cap)
 
     sums = {}
     for seq in itertools.product(range(num_colors), repeat=p):

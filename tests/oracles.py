@@ -25,14 +25,17 @@ orbit-collapse sum multiplies the weights sequence by sequence, where the
 package multiplies them once per color multiset.  Phi_N is found by dividing
 x^N - 1 by every Phi_d, d | N, d < N, and a vector is reduced modulo it by
 long division, where the package folds t^N = 1, t^(N/2) = -1 and
-Phi_p(s x^m) = 0 in closed form.
+Phi_p(s x^m) = 0 in closed form.  The command line is read by argparse,
+where the package reads it from its own option table.
 """
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import itertools
 import math
+import os
 from functools import lru_cache
 
 from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, canonical_orbit
@@ -590,3 +593,89 @@ def orbit_check_by_sequence(weights, orbit_values, p: int) -> OrbitCheckReport:
     diff = lhs - rhs
     congruent = mod_p(diff, p).is_zero if isinstance(diff, CycInt) else diff % p == 0
     return OrbitCheckReport(lhs, rhs, congruent, num_colors ** p)
+
+
+# the argparse command line, with its argument types
+
+def _prime_arg(min_p: int):
+    def parse(text: str) -> int:
+        try:
+            p = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        try:
+            ok = p >= min_p and p % 2 == 1 and is_prime(p)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if not ok:
+            raise argparse.ArgumentTypeError(f"p must be an odd prime >= {min_p}, got {p}")
+        return p
+    return parse
+
+
+def _nonneg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if n < 0:
+        raise argparse.ArgumentTypeError("value must be >= 0")
+    return n
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="skeincalc",
+        description="Exact quantum-invariant, congruence and linking-form calculator")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_json_flag(sp):
+        sp.add_argument("--json", action="store_true",
+                        default=os.environ.get("SKEINCALC_FORMAT") == "json",
+                        help="emit JSON instead of text")
+
+    sp = sub.add_parser("invariant", help="invariant of the surgered cover, residue "
+                                          "verdict and valuation (p = 5 or 7)")
+    sp.add_argument("--p", type=_prime_arg(5), required=True)
+    add_json_flag(sp)
+
+    sp = sub.add_parser("hopf", help="bracket of n +1-framed Hopf fibers")
+    sp.add_argument("--p", type=_prime_arg(5), required=True)
+    sp.add_argument("--n", type=_nonneg, required=True)
+    add_json_flag(sp)
+
+    sp = sub.add_parser("valuation", help="(1-zeta_p)-adic valuation of the cover "
+                                          "invariant vs the quadratic bound and p-1")
+    sp.add_argument("--p", type=_prime_arg(5), required=True)
+    add_json_flag(sp)
+
+    sp = sub.add_parser("homology", help="cokernel of an integer matrix")
+    sp.add_argument("--matrix", required=True,
+                    help="rows separated by ';', entries by ',' (e.g. \"0,5;5,5\"); "
+                         "write --matrix=-1,0;0,1 when the literal starts with '-'")
+    add_json_flag(sp)
+
+    cover = sub.add_parser("cover", help="linking-form cover analysis")
+    cover_sub = cover.add_subparsers(dest="cover_command", required=True)
+    sp = cover_sub.add_parser("analyze", help="simplicity, curve selection and "
+                                              "complement test for a character")
+    sp.add_argument("--form", required=True, help='Wall form literal, e.g. "A25+B5[2]"')
+    sp.add_argument("--char", required=True,
+                    help='character literal, e.g. "free:0;tors:1/5,0"')
+    sp.add_argument("--free-rank", type=_nonneg, default=0)
+    sp.add_argument("--order", type=_nonneg, default=None,
+                    help="target order k (default: inferred from denominators)")
+    sp.add_argument("--curves", nargs="*", default=[],
+                    help='curve literals, e.g. "free:0;tors:5,0"')
+    add_json_flag(sp)
+
+    sp = sub.add_parser("orbit-check", help="verify the mod-p orbit-collapse "
+                                            "congruence on random ring data")
+    sp.add_argument("--p", type=_prime_arg(3), required=True)
+    sp.add_argument("--colors", type=int, default=2)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--trials", type=int, default=1)
+    sp.add_argument("--cap", type=int, default=None,
+                    help="abort if trials * (colors^p + 1) * p^3 exceeds this")
+    add_json_flag(sp)
+    return parser

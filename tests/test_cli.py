@@ -1,18 +1,22 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skeincalc.cli import MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, main
+from skeincalc.cli import COMMANDS, MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, main, parse_args
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
+
+from oracles import argparse_parser
 
 
 # stdout of every pinned benchmark call, keyed by its space-joined argv
@@ -118,7 +122,7 @@ def test_orbit_check_subcommand(capsys):
 
 
 def test_exit_codes():
-    # p out of range: argparse exits 2
+    # p out of range: the parser exits 2
     with pytest.raises(SystemExit) as exc:
         main(["invariant", "--p", "4"])
     assert exc.value.code == 2
@@ -238,6 +242,16 @@ def test_homology_matrix_with_leading_minus(capsys):
     assert out.strip() == "0"
 
 
+def test_explicit_double_dash_is_a_value(capsys):
+    # argparse dropped an explicit '--' value, so homology --matrix=-- reached
+    # the handler as [] and ended in a traceback
+    assert main(["homology", "--matrix=--"]) == 2
+    assert "bad matrix literal" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["hopf", "--p=--", "--n", "1"])
+    assert exc.value.code == 2
+
+
 def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "skeincalc", *argv],
                           capture_output=True, text=True, timeout=10)
@@ -253,6 +267,26 @@ def test_orbit_check_work_is_refused_before_enumeration():
         assert out.returncode == 2, argv
         assert "exceed the cap" in out.stderr
         assert "Traceback" not in out.stderr
+
+
+def test_orbit_check_charges_each_trial_before_enumeration(capsys, monkeypatch):
+    from skeincalc import congruence
+
+    def enumerate_orbits(*args):
+        raise AssertionError("orbits enumerated before the work cap was checked")
+
+    monkeypatch.setattr(congruence, "necklace_orbits", enumerate_orbits)
+    assert main(["orbit-check", "--p", "3", "--colors", "1", "--trials", "55555"]) == 2
+    assert "exceed the cap" in capsys.readouterr().err
+    cap_help = COMMANDS["orbit-check"][2]["--cap"][2]
+    assert f"(colors^p + {congruence.ORBIT_TRIAL_SEQUENCES})" in cap_help
+
+
+def test_orbit_check_cap_option_raises_the_cap(capsys):
+    # the check of each trial once ignored --cap and refused this with exit 1
+    assert main(["orbit-check", "--p", "67", "--colors", "1", "--cap", str(10 ** 7)]) == 0
+    assert main(["orbit-check", "--p", "67", "--colors", "1"]) == 2
+    assert "all congruent: yes" in capsys.readouterr().out
 
 
 def test_hopf_n_cap():
@@ -336,3 +370,56 @@ def test_cli_fuzz_exits_cleanly(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# values and stray tokens for the parser: numbers, negative numbers, literals
+# that start with '-', spaced text, '--', help spellings and unknown options
+_VALUES = ["5", "7", "3", "0", "2", "12", "-5", "-0.5", "-.5", "1e3", "", "x", "0,5;5,5",
+           "-1,0;0,1", "A25", "tors:1/5", "-x y", "-١٢", "١٢"]
+_STRAYS = ["--", "-", "-h", "--help", "--he", "-hh", "-hx", "-h=h", "-h=", "--help=1", "--bogus",
+           "-x", "--=5", "---p", "--json=1", "--js", "stray", "--c", "--f", "--c=3", "--fr=1"]
+
+
+@st.composite
+def parser_argv(draw):
+    words = draw(st.sampled_from([*COMMANDS, "cover", "hop", "no-such-command", ""])).split()
+    options = [*COMMANDS[" ".join(words)][2], "--json"] if " ".join(words) in COMMANDS else []
+    pieces = []
+    for option in options:
+        if not draw(st.booleans()):
+            continue
+        # the whole name or a prefix, which may be ambiguous
+        name = option[:draw(st.integers(3, len(option)))] if draw(st.booleans()) else option
+        pieces.append(draw(st.one_of(
+            st.just([name]),
+            st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2).map(lambda v: [name, *v]),
+            st.sampled_from(_VALUES).map(lambda v: [f"{name}={v}"]))))
+    pieces += [[token] for token in draw(st.lists(st.sampled_from(_STRAYS + _VALUES), max_size=2))]
+    before = draw(st.lists(st.sampled_from(["-x", "--he", "--", "-5", "hopf"]), max_size=1))
+    return before + words + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+def _parsed(parse, argv):
+    """The fields of a parse, or the exit code it raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+    if "cover_command" in fields:  # argparse keeps the second word apart
+        fields["command"] += " " + fields.pop("cover_command")
+    return fields
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(parser_argv(), st.booleans())
+@example(["orbit-check", "--p", "5", "--c", "3"], False)  # ambiguous prefix
+@example(["orbit-check", "--p", "5", "--seed", "-5", "--trials=2", "--tr", "1"], True)
+@example(["homology", "--matrix", "-1,0;0,1"], False)  # a literal that starts with '-'
+@example(["cover", "analyze", "--form", "A25", "--char", "tors:1/5", "--curves"], False)
+@example(["-h", "no-such-command"], False)
+def test_parser_matches_argparse(argv, json_env):
+    env = {"SKEINCALC_FORMAT": "json" if json_env else "text"}
+    with mock.patch.dict(os.environ, env):
+        want = _parsed(argparse_parser().parse_args, argv)
+        assert _parsed(parse_args, argv) == want, argv

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from skeincalc.congruence import (
+    ORBIT_TERM_CAP,
+    ORBIT_TRIAL_SEQUENCES,
     canonical_orbit,
     check_kappa_congruence,
     check_kappa_congruence_up_to_phase,
@@ -243,6 +245,18 @@ def test_orbit_work_cap():
     for colors, trials in ((0, 1), (2, 0), (-1, -1)):
         with pytest.raises(ValueError):
             orbit_sequence_count(colors, 5, trials)
+
+
+def test_orbit_work_charges_each_trial_its_own_cost():
+    # 55,555 one-color trials at p = 3 took about 4.3 s when a trial was
+    # charged one sequence; a 48-color trial at p = 3 takes about 1.5 s
+    with pytest.raises(TooLargeError):
+        orbit_sequence_count(1, 3, trials=55555)
+    most = ORBIT_TERM_CAP // ((1 + ORBIT_TRIAL_SEQUENCES) * 3 ** 3)
+    assert orbit_sequence_count(1, 3, trials=most) == 1
+    with pytest.raises(TooLargeError):
+        orbit_sequence_count(1, 3, trials=most + 1)
+    assert orbit_sequence_count(48, 3) == 48 ** 3
 
 
 def test_canonical_orbit():

@@ -38,7 +38,7 @@ def test_bare_import_loads_only_the_ring_and_the_errors():
     assert loaded_after("import skeincalc.cli") == sorted(CLI)
 
 
-@pytest.mark.parametrize("argv, layers", [
+COMMAND_CASES = [
     (["hopf", "--p", "5", "--n", "2"], ("skein",)),
     (["invariant", "--p", "5"], ("congruence", "intlinalg", "invariants", "skein")),
     (["valuation", "--p", "7"], ("congruence", "invariants", "skein")),
@@ -46,12 +46,34 @@ def test_bare_import_loads_only_the_ring_and_the_errors():
     (["cover", "analyze", "--form", "A25+B5[2]", "--char", "tors:1/5,0"],
      ("intlinalg", "linkform")),
     (["orbit-check", "--p", "5"], ("congruence", "skein")),
-], ids=["hopf", "invariant", "valuation", "homology", "cover-analyze", "orbit-check"])
+]
+COMMAND_IDS = ["hopf", "invariant", "valuation", "homology", "cover-analyze", "orbit-check"]
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_CASES, ids=COMMAND_IDS)
 def test_each_command_loads_only_its_layers(argv, layers):
     code = ("import contextlib, io\nfrom skeincalc import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
     assert loaded_after(code) == sorted(CLI + layers)
+
+
+@pytest.mark.parametrize("argv, code", [(argv, 0) for argv, _ in COMMAND_CASES] + [
+    (["invariant", "--p", "4"], 2), (["orbit-check", "--c", "3"], 2), (["-h"], 0),
+    (["cover", "analyze", "-h"], 0)],
+    ids=COMMAND_IDS + ["bad-value", "ambiguous-option", "help", "command-help"])
+def test_parsing_loads_no_argument_parser(argv, code):
+    # argparse costs about 8 ms per call, with the gettext and locale it loads
+    out = run_fresh("import contextlib, io, sys\nfrom skeincalc import cli\n"
+                    "with contextlib.redirect_stdout(io.StringIO()), "
+                    "contextlib.redirect_stderr(io.StringIO()):\n"
+                    "    try:\n"
+                    f"        code = cli.main({argv!r})\n"
+                    "    except SystemExit as exc:\n"
+                    "        code = exc.code\n"
+                    "print(code, *(m for m in ('argparse', 'gettext', 'locale')\n"
+                    "              if m in sys.modules))")
+    assert out.split() == [str(code)]
 
 
 def test_invariants_loads_intlinalg_on_the_first_homology():

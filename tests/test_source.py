@@ -44,6 +44,27 @@ def test_pipeline_modules_do_not_divide():
     assert not found, f"division in the package: {found}"
 
 
+def test_no_argument_parsing_library():
+    # the command line is read from cli.COMMANDS; argparse and the gettext
+    # and locale modules it loads cost about 8 ms per call
+    banned = {"argparse", "optparse", "getopt", "gettext"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        name = path.name
+        for node in ast.walk(ast.parse(path.read_text(), name)):
+            if isinstance(node, ast.Import):
+                names = [a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").partition(".")[0]] if not node.level else []
+            elif isinstance(node, ast.Constant):
+                names = [node.value]  # an importlib or __import__ argument
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: {n}" for n in names if n in banned]
+    assert SOURCE.is_dir()
+    assert not found, f"argument-parsing imports in the package: {found}"
+
+
 def _runs_at_import(tree):
     """Every node executed when the module is imported: all but function bodies."""
     stack = list(tree.body)
