@@ -1,12 +1,12 @@
-"""Exact integer linear algebra: invariant factors, cokernels, solvability.
+"""Exact integer linear algebra: invariant factors, cokernels, span tests.
 
 Matrices are lists of lists of arbitrary-precision ints; no floating point.
 Everything runs through one kernel, `_clear_leading`, which clears the
 leading column of a list of rows by unimodular 2x2 row operations.  A column
 operation is the same kernel applied to the transpose.  `diagonal_entries`
 and `cokernel` reduce the bare matrix and read its last two pivots off the
-determinantal divisors; `solve` carries the unit vectors beside the columns
-it reduces.
+determinantal divisors; `in_span` reduces the columns one coordinate at a
+time.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from __future__ import annotations
 import math
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _rows(mat) -> list[list[int]]:
-    rows = [[int(x) for x in row] for row in mat]
+    rows = [list(map(int, row)) for row in mat]
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows have unequal lengths")
     return rows
@@ -144,24 +140,21 @@ def cokernel(mat) -> tuple[int, list[int]]:
     return len(mat) - len(diag), [d for d in diag if d > 1]
 
 
-def solve(mat, rhs) -> list[int] | None:
-    """An integer solution x of mat @ x = rhs, or None when there is none.
+def in_span(mat, rhs) -> bool:
+    """Does rhs lie in the integer column span of mat?
 
-    The columns of mat, each followed by its unit vector, are reduced by the
-    kernel one coordinate at a time.  The pivot then divides every value the
-    column lattice takes in that coordinate, so the rest of rhs must be a
-    multiple of it there; the pivot column times that multiple is taken off,
-    and its unit-vector part records the columns used.
+    The columns of mat are reduced by the kernel one coordinate at a time.
+    The pivot then divides every value the column lattice takes in that
+    coordinate, so the rest of rhs must be a multiple of it there; the
+    pivot column times that multiple is taken off.  Once the rest of rhs is
+    zero it lies in the span.
     """
     rows = _rows(mat)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if len(rhs) != m:
+    if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
-    X = [list(col) + e for col, e in zip(zip(*rows), _identity(n))]
-    res = [int(v) for v in rhs]
-    x = [0] * n
-    while res:
+    X = [list(col) for col in zip(*rows)]
+    res = list(map(int, rhs))
+    while any(res):
         a = 0
         if X:
             _clear_leading(X)
@@ -169,14 +162,13 @@ def solve(mat, rhs) -> list[int] | None:
             a = top[0]
         if not a:
             if res[0]:
-                return None
+                return False
             X = [row[1:] for row in X]
         else:
             q, r = divmod(res[0], a)
             if r:
-                return None
+                return False
             res = [v - q * c for v, c in zip(res, top)]
-            x = [v + q * c for v, c in zip(x, top[len(res):])]
             X = [row[1:] for row in X[1:]]
         res = res[1:]
-    return x
+    return True

@@ -106,7 +106,7 @@ class AbelianGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion) -> None:
-        torsion = tuple(int(t) for t in torsion)
+        torsion = tuple(map(int, torsion))
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(f"invariant factors must divide in turn: {torsion}")

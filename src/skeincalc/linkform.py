@@ -248,8 +248,8 @@ def complement_simple(h: Homology1, chi: Character, curves) -> bool:
     """Is the cover simple away from the given curves?
 
     True when the Bockstein dual of chi lies in the subgroup of
-    Z^r + torsion generated by the curve classes.  Solved as an integer
-    linear system with one modulus column per torsion summand.
+    Z^r + torsion generated by the curve classes: a span test on the curve
+    columns plus one modulus column per torsion summand.
     """
     dual = dual_element(h.form, chi.torsion_values)
     curves = list(curves)
@@ -258,15 +258,10 @@ def complement_simple(h: Homology1, chi: Character, curves) -> bool:
     for c in curves:
         if len(c.free) != r or len(c.torsion.values) != s:
             raise ValueError("curve class shape does not match H_1")
-    rows = []
-    for j in range(r):
-        rows.append([c.free[j] for c in curves] + [0] * s)
-    for j in range(s):
-        row = [c.torsion.values[j] for c in curves]
-        row += [h.form.order(j) if i == j else 0 for i in range(s)]
-        rows.append(row)
-    rhs = [0] * r + list(dual.values)
-    return intlinalg.solve(rows, rhs) is not None
+    rows = [[c.free[j] for c in curves] + [0] * s for j in range(r)]
+    rows += [[c.torsion.values[j] for c in curves] + [0] * j + [q] + [0] * (s - 1 - j)
+             for j, q in enumerate(h.form.orders)]
+    return intlinalg.in_span(rows, [0] * r + list(dual.values))
 
 
 class SccCurve(NamedTuple):

@@ -211,15 +211,21 @@ def omega(p: int) -> SkeinElem:
     return SkeinElem(p, [quantum_int(p, k + 1) * (-1) ** k for k in range((p - 1) // 2)])
 
 
-def twist_eigenvalue(p: int, k: int, e: int = 1) -> CycInt:
-    """e-th power of the twist eigenvalue (-1)^k A^(k^2+2k) on e_k."""
-    sign = -1 if (k * e) % 2 else 1
-    return sign * A_power(p, e * k * (k + 2))
-
-
 def twist(x: SkeinElem, e: int) -> SkeinElem:
-    """Apply e full twists: e_k is scaled by twist_eigenvalue(p, k, e)."""
-    return SkeinElem(x.p, [c * twist_eigenvalue(x.p, k, e) for k, c in enumerate(x.coeffs)])
+    """Apply e full twists, scaling e_k by (-1)^(ke) A^(ek(k+2)) = A^(ek(k+p+2)).
+
+    Each numerator, padded to a vector in Z[t]/(t^N - 1), is rotated by that
+    root and reduced once.
+    """
+    p = x.p
+    N = ring_modulus(p)
+    pad = [0] * (N - euler_phi(N))
+    out = []
+    for k, c in enumerate(x.coeffs):
+        t = -e * k * (k + p + 2) * (N // (2 * p)) % N
+        v = list(c.num.coeffs) + pad
+        out.append(CycNum(CycInt.from_poly(N, v[t:] + v[:t]), p, c.k))
+    return SkeinElem(p, out)
 
 
 @lru_cache(maxsize=None)
@@ -233,13 +239,19 @@ def hopf_points(p: int) -> tuple[tuple[CycInt, CycNum], ...]:
     e-basis, its e_(j-1) coefficient is [j] A^(1-j^2), and f encircling e_(j-1)
     evaluates to f(z_j) (-1)^(j-1) [j] with z_j = -(A^2j + A^-2j).  So
     w_j = eta^2 plane_eval(twist(omega, 1)) (-1)^(j-1) A^(1-j^2) [j]^2.
+    As [j]^2 = sum over s <= 2j-2 of (min(s, 2j-2-s) + 1) A^(4(j-1-s)) and
+    -1 = A^p, all but the first factor is one vector reduced once.
     """
     scale = eta_squared(p) * plane_eval(twist(omega(p), 1))
+    N = ring_modulus(p)
     out = []
     for j in range(1, (p - 1) // 2 + 1):
         z = -(A_power(p, 2 * j) + A_power(p, -2 * j))
-        w = scale * (A_power(p, 1 - j * j) * quantum_int(p, j) ** 2)
-        out.append((z, w if j % 2 else -w))
+        v = [0] * N
+        for s in range(2 * j - 1):
+            e = (j - 1) * p + 1 - j * j + 4 * (j - 1 - s)
+            v[e * (N // (2 * p)) % N] += min(s, 2 * j - 2 - s) + 1
+        out.append((z, scale * CycInt.from_poly(N, v)))
     return tuple(out)
 
 

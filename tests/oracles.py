@@ -16,8 +16,12 @@ strict verdict looks x up in every residue n*kappa^m, built by ring products,
 where the package keeps one entry per line F_p^* * kappa^m.  The
 Smith form pivots on the least nonzero entry of the whole submatrix with row
 and column operations, where the package clears one column at a time by
-Euclid on the rows; a prime-power order is factored by trial division, where
-the package takes one gcd with a product of small primes.  The cofactor of
+Euclid on the rows.  An integer solution x of mat @ x = rhs is built with
+unit vectors carried beside the reduced columns, where the package only
+asks whether rhs lies in the column span; a span in a finite group is the
+closure of its generators under addition.  A prime-power order is factored
+by trial division, where the package takes one gcd with a product of small
+primes.  The cofactor of
 (1 - zeta_p) in p is the product of the other 1 - zeta_p**a, where the
 package sums it in closed form.  Exact division and inversion up to a power
 of p go through the Galois norm; the package never divides in the ring.  The
@@ -52,6 +56,7 @@ from skeincalc.cyclotomic import (
     zero,
 )
 from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
+from skeincalc.intlinalg import _clear_leading, _rows
 from skeincalc.linkform import _iroot
 from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order
 
@@ -552,6 +557,69 @@ def smith_by_min_pivot(mat) -> tuple[list[list[int]], list[list[int]], list[list
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
     return D, U, V
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def solve(mat, rhs) -> list[int] | None:
+    """An integer solution x of mat @ x = rhs, or None when there is none.
+
+    The columns of mat, each followed by its unit vector, are reduced by the
+    kernel one coordinate at a time.  The pivot then divides every value the
+    column lattice takes in that coordinate, so the rest of rhs must be a
+    multiple of it there; the pivot column times that multiple is taken off,
+    and its unit-vector part records the columns used.
+    """
+    rows = _rows(mat)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if len(rhs) != m:
+        raise ValueError("rhs length does not match row count")
+    X = [list(col) + e for col, e in zip(zip(*rows), _identity(n))]
+    res = [int(v) for v in rhs]
+    x = [0] * n
+    while res:
+        a = 0
+        if X:
+            _clear_leading(X)
+            top = X[0]
+            a = top[0]
+        if not a:
+            if res[0]:
+                return None
+            X = [row[1:] for row in X]
+        else:
+            q, r = divmod(res[0], a)
+            if r:
+                return None
+            res = [v - q * c for v, c in zip(res, top)]
+            x = [v + q * c for v, c in zip(x, top[len(res):])]
+            X = [row[1:] for row in X[1:]]
+        res = res[1:]
+    return x
+
+
+def span_by_closure(orders, generators) -> set:
+    """The subgroup of Z_orders[0] + Z_orders[1] + ... the generators span.
+
+    Every element reached is added to each generator until nothing new
+    appears, so the group must be small.
+    """
+    zero = (0,) * len(orders)
+    span = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = tuple((a + b) % q for a, b, q in zip(x, g, orders))
+                if y not in span:
+                    span.add(y)
+                    new.append(y)
+        frontier = new
+    return span
 
 
 def valuation_cofactor_product(N: int, p: int) -> CycInt:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import smith_by_min_pivot
+from oracles import smith_by_min_pivot, solve
 from skeincalc import intlinalg
-from skeincalc.intlinalg import cokernel, diagonal_entries, solve
+from skeincalc.intlinalg import cokernel, diagonal_entries, in_span
 
 
 def mat_mul(a, b):
@@ -80,24 +80,29 @@ def test_solve_constructed_and_verified():
         a = random_matrix(rng, m, n)
         x = [rng.randint(-5, 5) for _ in range(n)]
         b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)]
+        assert in_span(a, b)
         got = solve(a, b)
-        assert got is not None
         assert [sum(a[i][j] * got[j] for j in range(n)) for i in range(m)] == b
 
 
 def test_solve_unsolvable_cases():
-    assert solve([[2]], [1]) is None
-    assert solve([[2, 0], [0, 3]], [1, 1]) is None
-    assert solve([[1, 1], [1, 1]], [0, 1]) is None
-    # solvable over Q but not over Z
-    assert solve([[4, 2], [2, 4]], [1, 1]) is None
+    for a, b in (([[2]], [1]), ([[2, 0], [0, 3]], [1, 1]), ([[1, 1], [1, 1]], [0, 1]),
+                 # solvable over Q but not over Z
+                 ([[4, 2], [2, 4]], [1, 1])):
+        assert not in_span(a, b)
+        assert solve(a, b) is None
+    assert in_span([[4, 2], [2, 4]], [6, 6])
     assert solve([[4, 2], [2, 4]], [6, 6]) == [1, 1]
 
 
 def test_solve_edge_shapes():
-    assert solve([], []) == []
-    assert solve([[0, 0]], [0]) == [0, 0]
-    assert solve([[0]], [3]) is None
+    assert in_span([], []) and solve([], []) == []
+    assert in_span([[0, 0]], [0]) and solve([[0, 0]], [0]) == [0, 0]
+    assert not in_span([[0]], [3]) and solve([[0]], [3]) is None
+    with pytest.raises(ValueError):
+        in_span([[1, 2]], [1, 2])
+    with pytest.raises(ValueError):
+        in_span([[1, 2], [3]], [1, 2])
 
 
 def det(a):
@@ -208,11 +213,13 @@ def test_solve_verdict_matches_the_min_pivot_oracle():
         planted = [sum(x * y for x, y in zip(row, [rng.randint(-4, 4) for _ in range(n)]))
                    for row in a]
         for b in (planted, [rng.randint(-30, 30) for _ in a]):
+            verdict = in_span(a, b)
+            assert verdict == oracle_solvable(a, b), (a, b)
             got = solve(a, b)
-            assert (got is not None) == oracle_solvable(a, b), (a, b)
+            assert (got is not None) == verdict, (a, b)
             if got is not None:
                 assert [sum(x * y for x, y in zip(row, got)) for row in a] == b
-            seen.add(got is not None)
+            seen.add(verdict)
     assert seen == {True, False}
 
 
@@ -243,3 +250,44 @@ def test_smith_form_property(a):
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
         assert (y % x == 0) if x else (y == 0)
+
+
+@st.composite
+def span_systems(draw):
+    """(a, b): a random matrix, or a complement_simple system, with b planted or not.
+
+    The complement_simple shape has r free rows over the curve columns, then
+    one row per torsion summand: residues below its order p^t under the
+    curves and p^t in that summand's own modulus column.
+    """
+    big = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+        a = draw(_matrices(m, n, big))
+    else:
+        p = draw(st.sampled_from([3, 5, 7, 101]))
+        orders = [p ** t for t in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))]
+        r, k = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+        a = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) + [0] * len(orders)
+             for _ in range(r)]
+        for i, q in enumerate(orders):
+            a.append([draw(st.integers(0, q - 1)) for _ in range(k)]
+                     + [q if j == i else 0 for j in range(len(orders))])
+        m, n = len(a), k + len(orders)
+    if draw(st.booleans()):
+        x = draw(st.lists(big, min_size=n, max_size=n))
+        b = [sum(u * v for u, v in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(big, min_size=m, max_size=m))
+    return a, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(span_systems())
+@example(([[2, 0], [0, 3]], [1, 3]))
+@example(([[0, 0], [0, 0]], [0, 0]))
+@example(([[], []], [0, 1]))
+@example(([[1, 0, 0], [2, 9, 0], [0, 0, 9]], [0, 3, 3]))
+def test_in_span_matches_the_min_pivot_oracle(case):
+    a, b = case
+    assert in_span(a, b) == oracle_solvable(a, b), case

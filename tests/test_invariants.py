@@ -246,10 +246,11 @@ def test_valuation_past_the_benchmark_primes():
 
 
 def test_valuation_at_p101_makes_few_ring_products(monkeypatch):
-    # every skein element is evaluated by rotations; the ring products left
-    # are the weights, the p-th power, eta^2 and the valuation, 330 in all
-    # (9,354 when the decorations were evaluated by Horner's rule in the
-    # z-basis)
+    # every skein element is evaluated and twisted by rotations; the ring
+    # products left are one per weight (its scale), the p-th power, eta^2
+    # and the valuation, 80 in all (330 when the weights and twists were
+    # built by ring products, 9,354 when the decorations were evaluated by
+    # Horner's rule in the z-basis)
     for module in (skein, invariants):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
@@ -263,7 +264,7 @@ def test_valuation_at_p101_makes_few_ring_products(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "mul_reduce", counting)
     assert cover_invariant_valuation(101) == 4851
-    assert len(calls) <= 360
+    assert len(calls) <= 90
 
 
 def test_valuation_closed_form():

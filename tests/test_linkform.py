@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import prime_power_by_trial_division
+from oracles import prime_power_by_trial_division, span_by_closure
 from skeincalc.cyclotomic import is_prime
 from skeincalc.errors import CharacterDomainError
 from skeincalc.linkform import (
@@ -218,6 +218,25 @@ def test_complement_simple_mixed_free_torsion():
     # same free cancellation now gives -10 + 0 = 0 != 1 mod 5
     assert not complement_simple(h, chi, [CurveClass((1,), TorsionElement([2])),
                                           CurveClass((5,), TorsionElement([0]))])
+
+
+def test_complement_simple_matches_the_closure_oracle():
+    # free rank 0, every form of order <= 25 at p = 3, 5: every element is
+    # the dual of one character, and it must lie in the closure of the curves
+    rng = random.Random(73)
+    for p in (3, 5):
+        for form in all_forms(p, 25):
+            h = Homology1(0, form)
+            gens = generators(form)
+            elements = list(form.elements())
+            for size in (0, 1, 1, 2, 2, 3):
+                curves = rng.sample(elements, size)
+                span = span_by_closure(form.orders, [c.values for c in curves])
+                classes = [CurveClass((), c) for c in curves]
+                for c in elements:
+                    chi = Character(p * p, [], [pair(form, c, g) for g in gens], form)
+                    assert complement_simple(h, chi, classes) == (c.values in span), \
+                        (form, curves, c)
 
 
 def test_scc_examples():

@@ -93,3 +93,36 @@ def test_cli_and_package_import_only_the_ring_eagerly():
             found += [f"{name}:{node.lineno}: {path}" for path in paths
                       if path.startswith("skeincalc.") and path.split(".")[1] not in allowed]
     assert not found, f"layers imported at module level: {found}"
+
+
+def test_span_test_is_membership_only():
+    # the package asks only whether rhs lies in a column span: the
+    # constructive solve and its unit vectors are test oracles
+    # (tests/oracles.py), and linkform reaches intlinalg only through
+    # in_span and the cokernel entry points
+    banned = {"solve", "_identity"}
+    allowed = {"in_span", "cokernel", "diagonal_entries"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        name = path.name
+        for node in ast.walk(ast.parse(path.read_text(), name)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name in banned):
+                found.append(f"{name}:{node.lineno}: defines {node.name}")
+    tree = ast.parse((SOURCE / "linkform.py").read_text(), "linkform.py")
+    uses = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("intlinalg"):
+            found += [f"linkform.py:{node.lineno}: imports {a.name}"
+                      for a in node.names if a.name not in allowed]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "intlinalg"):
+            uses += 1
+            if node.attr not in allowed:
+                found.append(f"linkform.py:{node.lineno}: intlinalg.{node.attr}")
+    # every other mention of the module name (getattr, an alias) is refused
+    names = sum(isinstance(n, ast.Name) and n.id == "intlinalg" for n in ast.walk(tree))
+    if names != uses:
+        found.append(f"linkform.py: {names - uses} bare uses of intlinalg")
+    assert SOURCE.is_dir()
+    assert not found, f"span test beyond in_span: {found}"
