@@ -1,12 +1,14 @@
 """Exact integer linear algebra: invariant factors, cokernels, span tests.
 
 Matrices are lists of lists of arbitrary-precision ints; no floating point.
-Everything runs through one kernel, `_clear_leading`, which clears the
-leading column of a list of rows by unimodular 2x2 row operations.  A column
-operation is the same kernel applied to the transpose.  `diagonal_entries`
-and `cokernel` reduce the bare matrix and read its last two pivots off the
-determinantal divisors; `in_span` reduces the columns one coordinate at a
-time.
+Everything over Z runs through one kernel, `_clear_leading`, which clears
+the leading column of a list of rows by unimodular 2x2 row operations.  A
+column operation is the same kernel applied to the transpose.
+`diagonal_entries` and `cokernel` reduce the bare matrix and read its last
+two pivots off the determinantal divisors.  `in_span` reduces the columns
+one coordinate at a time, in a group Z^a + Z/p^t1 + Z/p^t2 + ...: a Z
+coordinate by the kernel, a Z/p^t coordinate by one pivot of least
+p-adic valuation, with no Euclid rounds.
 """
 
 from __future__ import annotations
@@ -124,14 +126,16 @@ def diagonal_entries(mat) -> list[int]:
     """Nonzero diagonal of the Smith form (the invariant factors, with 1s)."""
     d = _diagonalise(_rows(mat))
     # pairwise (gcd, lcm) turns diag(d) into a divisibility chain with the
-    # same cokernel
+    # same cokernel; a pivot 1 divides every other, so only those > 1 pair
+    ones = d.count(1)
+    d = [a for a in d if a > 1]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             a, b = d[i], d[j]
             if b % a:
                 g = math.gcd(a, b)
                 d[i], d[j] = g, a // g * b
-    return d
+    return [1] * ones + d
 
 
 def cokernel(mat) -> tuple[int, list[int]]:
@@ -140,35 +144,66 @@ def cokernel(mat) -> tuple[int, list[int]]:
     return len(mat) - len(diag), [d for d in diag if d > 1]
 
 
-def in_span(mat, rhs) -> bool:
-    """Does rhs lie in the integer column span of mat?
+def in_span(mat, rhs, moduli=None) -> bool:
+    """Does rhs lie in the column span of mat, in Z^a + Z/m_1 + ... ?
 
-    The columns of mat are reduced by the kernel one coordinate at a time.
-    The pivot then divides every value the column lattice takes in that
-    coordinate, so the rest of rhs must be a multiple of it there; the
-    pivot column times that multiple is taken off.  Once the rest of rhs is
-    zero it lies in the span.
+    moduli[i] is 0 for a row read in Z (every row, without moduli) or a
+    prime power m for a row read in Z/m.  Coordinate by coordinate, a Z row
+    takes the kernel's pivot; on a Z/m row the pivot P has the least
+    g = gcd(entry, m), which divides every entry as m is a prime power
+    (ValueError if not).  The multiple of P that makes rhs, or another
+    column, vanish mod m there is taken off it, and n*P, n = m/g, replaces
+    P: the annihilator step of the Howell form (Storjohann and Mulders, ESA
+    1998).  Once the rest of rhs is zero it lies in the span.
     """
     rows = _rows(mat)
     if len(rhs) != len(rows):
         raise ValueError("rhs length does not match row count")
+    if moduli is None:
+        moduli = [0] * len(rows)
+    elif len(moduli) != len(rows) or any(m < 0 for m in moduli):
+        raise ValueError("moduli must give one integer >= 0 per row")
     X = [list(col) for col in zip(*rows)]
     res = list(map(int, rhs))
-    while any(res):
-        a = 0
-        if X:
-            _clear_leading(X)
-            top = X[0]
-            a = top[0]
-        if not a:
-            if res[0]:
-                return False
-            X = [row[1:] for row in X]
+    for i, m in enumerate(moduli):
+        if not any(res):
+            break
+        x = res[0]
+        if not m:
+            a = 0
+            if X:
+                _clear_leading(X)
+                top = X[0]
+                a = top[0]
+            if not a:
+                if x:
+                    return False
+                X = [col[1:] for col in X]
+            else:
+                q, r = divmod(x, a)
+                if r:
+                    return False
+                res = [v - q * c for v, c in zip(res, top)]
+                X = [col[1:] for col in X[1:]]
         else:
-            q, r = divmod(res[0], a)
-            if r:
+            gs = [math.gcd(col[0], m) for col in X]
+            g = min(gs, default=m)
+            if any(h % g for h in gs):
+                raise ValueError(f"modulus {m} is not a prime power")
+            if x % g:
                 return False
-            res = [v - q * c for v, c in zip(res, top)]
-            X = [row[1:] for row in X[1:]]
+            if g == m:
+                X = [col[1:] for col in X]
+            else:
+                n = m // g
+                top = X.pop(gs.index(g))
+                u = pow(top[0] // g, -1, n)
+                c = x // g * u % n
+                res = [v - c * t for v, t in zip(res, top)]
+                X = [[v - k * t for v, t in zip(col[1:], top[1:])]
+                     for col in X for k in (col[0] // g * u % n,)]
+                top = [n * t % r if r else n * t for t, r in zip(top[1:], moduli[i + 1:])]
+                if any(top):
+                    X.append(top)
         res = res[1:]
     return True

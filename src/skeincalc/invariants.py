@@ -62,6 +62,12 @@ def bracket_satellite(sat: HopfSatellite) -> CycNum:
     return total
 
 
+@lru_cache(maxsize=None)
+def _surgery_bracket(p: int) -> CycNum:
+    """The bracket with omega(p) on every component, shared by both invariants."""
+    return bracket_satellite(HopfSatellite(p, omega(p), omega(p)))
+
+
 def cover_invariant(p: int) -> CycNum:
     """Normalized invariant of the surgered p-fold cover at p in {5, 7}.
 
@@ -72,8 +78,7 @@ def cover_invariant(p: int) -> CycNum:
     if not phase_pinned(p):
         raise UnsupportedPrimeError(
             f"exact invariant needs the signed eta, pinned only for p in {{5, 7}}")
-    sat = HopfSatellite(p, omega(p), omega(p))
-    return eta(p) ** (p + 2) * bracket_satellite(sat)
+    return eta(p) ** (p + 2) * _surgery_bracket(p)
 
 
 @lru_cache(maxsize=None)
@@ -84,8 +89,7 @@ def cover_invariant_valuation(p: int) -> int:
     valuation of eta^(2(p+2)) * bracket^2 is even (it is a square) and half
     of it is the answer.  An odd value signals a convention bug.
     """
-    sat = HopfSatellite(p, omega(p), omega(p))
-    b = bracket_satellite(sat)
+    b = _surgery_bracket(p)
     squared = eta_squared(p) ** (p + 2) * b * b
     v2 = valuation(squared, p)
     if v2 == math.inf:

@@ -156,8 +156,9 @@ class Character:
         self.free_values = tuple(int(v) % order for v in free_values)
         vals = []
         for v in torsion_values:
-            den = v.denominator
-            v = Fraction(v.numerator % den, den)
+            num, den = v.numerator, v.denominator
+            if not (isinstance(v, Fraction) and 0 <= num < den):
+                v = Fraction(num % den, den)
             if order % den:
                 raise CharacterDomainError(
                     f"value {v} does not lie in Z_{order} inside Q/Z")
@@ -249,7 +250,7 @@ def complement_simple(h: Homology1, chi: Character, curves) -> bool:
 
     True when the Bockstein dual of chi lies in the subgroup of
     Z^r + torsion generated by the curve classes: a span test on the curve
-    columns plus one modulus column per torsion summand.
+    columns, each torsion row read modulo its summand order.
     """
     dual = dual_element(h.form, chi.torsion_values)
     curves = list(curves)
@@ -258,10 +259,9 @@ def complement_simple(h: Homology1, chi: Character, curves) -> bool:
     for c in curves:
         if len(c.free) != r or len(c.torsion.values) != s:
             raise ValueError("curve class shape does not match H_1")
-    rows = [[c.free[j] for c in curves] + [0] * s for j in range(r)]
-    rows += [[c.torsion.values[j] for c in curves] + [0] * j + [q] + [0] * (s - 1 - j)
-             for j, q in enumerate(h.form.orders)]
-    return intlinalg.in_span(rows, [0] * r + list(dual.values))
+    rows = [[c.free[j] for c in curves] for j in range(r)]
+    rows += [[c.torsion.values[j] for c in curves] for j in range(s)]
+    return intlinalg.in_span(rows, [0] * r + list(dual.values), [0] * r + list(h.form.orders))
 
 
 class SccCurve(NamedTuple):
@@ -272,10 +272,11 @@ class SccCurve(NamedTuple):
 
 
 def _select(form: WallForm, chi: Character, orders) -> list:
-    """(summand, class, pairing, order) wherever chi's dual projects nonzero.
+    """(summand, class, order) wherever chi's dual projects nonzero.
 
     The projection u * q/order (u a unit) must have an order in ``orders``;
-    the class 1/(unit * u) mod order pairs with it to exactly 1/order.
+    the class x = 1/(unit * u) mod order pairs with it to exactly 1/order,
+    that is unit * u * q/order * x = q/order mod q, checked on integers.
     """
     dual = dual_element(form, chi.torsion_values)
     out = []
@@ -287,11 +288,12 @@ def _select(form: WallForm, chi: Character, orders) -> list:
         if order not in orders:
             raise InconsistencyError(f"dual projection has order {order}, not one of {orders}")
         x = pow(s.unit * (c // (q // order)), -1, order)
+        value = s.unit * c * x % q
+        if value != q // order:
+            raise InconsistencyError(
+                f"selected curve pairs to {Fraction(value, q)}, not 1/{order}")
         elem = TorsionElement(x if j == i else 0 for j in range(len(form.summands)))
-        value = pair(form, dual, elem)
-        if value != Fraction(1, order):
-            raise InconsistencyError(f"selected curve pairs to {value}, not 1/{order}")
-        out.append((i, elem, value, order))
+        out.append((i, elem, order))
     return out
 
 
@@ -307,7 +309,7 @@ def scc_curves(h: Homology1, chi: Character) -> list[SccCurve]:
         raise CharacterDomainError(f"character target must be Z_{p}")
     if chi.is_zero:
         raise CharacterDomainError("character must be nonzero")
-    return [SccCurve(i, elem, value) for i, elem, value, _ in _select(h.form, chi, (p,))]
+    return [SccCurve(i, elem, Fraction(1, p)) for i, elem, _ in _select(h.form, chi, (p,))]
 
 
 class Scc2Curve(NamedTuple):
@@ -333,7 +335,7 @@ def scc2_curves(h: Homology1, chi: Character) -> list[Scc2Curve]:
             or any(v.denominator == p * p for v in chi.torsion_values)):
         raise CharacterDomainError("character is not onto Z_(p^2)")
     return [Scc2Curve(i, elem, 1 if order == p * p else p)
-            for i, elem, _, order in _select(h.form, chi, (p, p * p))]
+            for i, elem, order in _select(h.form, chi, (p, p * p))]
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +404,17 @@ def parse_form(text: str) -> WallForm:
             if not bracket.endswith("]"):
                 raise ValueError(f"unclosed unit bracket in {atom!r}")
             unit = int(bracket[:-1])
-        q_p, t = _prime_power(int(body))
+        q = int(body)
         if p is None:
-            p = q_p
-        elif p != q_p:
-            raise ValueError(f"mixed primes {p} and {q_p} in one form")
+            p, t = _prime_power(q)
+        else:
+            # every later order must be a power of the first one's prime
+            t, rest = 0, q
+            while rest > 1 and rest % p == 0:
+                rest, t = rest // p, t + 1
+            if rest != 1 or not t:
+                q_p, _ = _prime_power(q)  # raises unless q is a power of another prime
+                raise ValueError(f"mixed primes {p} and {q_p} in one form")
         if kind == "B" and unit is None:
             unit = smallest_nonresidue(p)
         summands.append((t, kind, unit if unit is not None else 1))

@@ -152,29 +152,6 @@ class SkeinElem:
     def __repr__(self):
         return f"SkeinElem(p={self.p}, coeffs={list(self.coeffs)})"
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            body = str(c)
-            if " " in body or "/" in body:
-                body = f"({body})"
-            if k == 0:
-                terms.append(body)
-            else:
-                terms.append(f"e_{k}" if body == "1" else f"{body}·e_{k}")
-        return " + ".join(terms)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SkeinElem":
-        return cls(data["p"], [CycNum.from_json(c) for c in data["coeffs"]])
-
 
 def point_eval(x: SkeinElem, j: int) -> CycNum:
     """x at z = z_j = -(A^2j + A^-2j), by Clenshaw's recurrence.

@@ -19,7 +19,9 @@ and column operations, where the package clears one column at a time by
 Euclid on the rows.  An integer solution x of mat @ x = rhs is built with
 unit vectors carried beside the reduced columns, where the package only
 asks whether rhs lies in the column span; a span in a finite group is the
-closure of its generators under addition.  A prime-power order is factored
+closure of its generators under addition, or a span over Z with one
+modulus column per summand, where the package reads each torsion row in
+Z/q by valuation pivots.  A prime-power order is factored
 by trial division, where the package takes one gcd with a product of small
 primes.  The cofactor of
 (1 - zeta_p) in p is the product of the other 1 - zeta_p**a, where the
@@ -30,7 +32,8 @@ package multiplies them once per color multiset.  Phi_N is found by dividing
 x^N - 1 by every Phi_d, d | N, d < N, and a vector is reduced modulo it by
 long division, where the package folds t^N = 1, t^(N/2) = -1 and
 Phi_p(s x^m) = 0 in closed form.  The command line is read by argparse,
-where the package reads it from its own option table.
+where the package reads it from its own option table.  Skein elements are
+printed and read as JSON only here; no command prints one.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from skeincalc.cyclotomic import (
     zero,
 )
 from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
-from skeincalc.intlinalg import _clear_leading, _rows
-from skeincalc.linkform import _iroot
+from skeincalc.intlinalg import _clear_leading, _rows, in_span
+from skeincalc.linkform import _iroot, dual_element
 from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order
 
 
@@ -620,6 +623,48 @@ def span_by_closure(orders, generators) -> set:
                     new.append(y)
         frontier = new
     return span
+
+
+def complement_by_modulus_columns(h, chi, curves) -> bool:
+    """complement_simple as a span test over Z alone.
+
+    Each torsion summand of order q gets a column q*e_j beside the curve
+    columns, so the dual's coordinates are read in Z, not in Z/q.
+    """
+    dual = dual_element(h.form, chi.torsion_values)
+    curves = list(curves)
+    r, s = h.free_rank, len(h.form.summands)
+    rows = [[c.free[j] for c in curves] + [0] * s for j in range(r)]
+    rows += [[c.torsion.values[j] for c in curves] + [q if k == j else 0 for k in range(s)]
+             for j, q in enumerate(h.form.orders)]
+    return in_span(rows, [0] * r + list(dual.values))
+
+
+def skein_str(x: SkeinElem) -> str:
+    """x as text on the e-basis: c_0 + c_1·e_1 + ..., zero terms left out."""
+    if x.is_zero:
+        return "0"
+    terms = []
+    for k, c in enumerate(x.coeffs):
+        if c.is_zero:
+            continue
+        body = str(c)
+        if " " in body or "/" in body:
+            body = f"({body})"
+        if k == 0:
+            terms.append(body)
+        else:
+            terms.append(f"e_{k}" if body == "1" else f"{body}·e_{k}")
+    return " + ".join(terms)
+
+
+def skein_to_json(x: SkeinElem) -> dict:
+    """The JSON form {"p": p, "coeffs": [CycNum, ...]}, coeffs[k] on e_k."""
+    return {"p": x.p, "coeffs": [c.to_json() for c in x.coeffs]}
+
+
+def skein_from_json(data: dict) -> SkeinElem:
+    return SkeinElem(data["p"], [CycNum.from_json(c) for c in data["coeffs"]])
 
 
 def valuation_cofactor_product(N: int, p: int) -> CycInt:

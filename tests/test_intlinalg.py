@@ -291,3 +291,60 @@ def span_systems(draw):
 def test_in_span_matches_the_min_pivot_oracle(case):
     a, b = case
     assert in_span(a, b) == oracle_solvable(a, b), case
+
+
+COMPOSITE = (6, 12, 45, 100, 2 * 101)
+
+
+@st.composite
+def modular_systems(draw):
+    """(a, b, moduli): rows read in Z (modulus 0) or in Z/p^t, mixed.
+
+    With probability 1/8 one row gets a modulus from COMPOSITE instead.
+    """
+    big = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    a = draw(_matrices(m, n, big))
+    moduli = [draw(st.sampled_from([0, 0, 2, 3, 5, 7, 101])) ** draw(st.integers(1, 3))
+              for _ in range(m)]
+    if draw(st.integers(0, 7)) == 0:
+        moduli[draw(st.integers(0, m - 1))] = draw(st.sampled_from(COMPOSITE))
+    if draw(st.booleans()):
+        x = draw(st.lists(big, min_size=n, max_size=n))
+        k = draw(st.lists(big, min_size=m, max_size=m))
+        b = [sum(u * v for u, v in zip(row, x)) + c * q for row, c, q in zip(a, k, moduli)]
+    else:
+        b = draw(st.lists(big, min_size=m, max_size=m))
+    return a, b, moduli
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(modular_systems())
+@example(([[2, 3]], [3], [6]))
+@example(([[5, 0], [0, 0]], [1, 5], [25, 5]))
+@example(([[], []], [4, 9], [4, 3]))
+@example(([[10, 4], [3, 1]], [2, 1], [0, 8]))
+def test_in_span_with_moduli_matches_the_augmented_system(case):
+    # reading row i in Z/m_i is the Z span with a column m_i*e_i added
+    a, b, moduli = case
+    aug = [row + [q if j == i else 0 for j, q in enumerate(moduli) if q]
+           for i, row in enumerate(a)]
+    expected = in_span(aug, b)
+    assert expected == oracle_solvable(aug, b), case
+    try:
+        verdict = in_span(a, b, moduli)
+    except ValueError:
+        # only a modulus that is not a prime power may be refused
+        assert any(q in COMPOSITE for q in moduli), case
+        return
+    assert verdict == expected, case
+
+
+def test_in_span_moduli_errors():
+    with pytest.raises(ValueError):
+        in_span([[1], [2]], [1, 2], [0])
+    with pytest.raises(ValueError):
+        in_span([[1]], [1], [-5])
+    with pytest.raises(ValueError, match="not a prime power"):
+        in_span([[2, 3]], [3], [6])
+    assert in_span([[2, 0]], [7], [0]) is False and in_span([[2, 0]], [7], [5]) is True

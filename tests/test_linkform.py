@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import prime_power_by_trial_division, span_by_closure
+from oracles import complement_by_modulus_columns, prime_power_by_trial_division, span_by_closure
 from skeincalc.cyclotomic import is_prime
-from skeincalc.errors import CharacterDomainError
+from skeincalc import linkform
+from skeincalc.errors import CharacterDomainError, InconsistencyError
 from skeincalc.linkform import (
     Character,
     CurveClass,
@@ -239,6 +240,41 @@ def test_complement_simple_matches_the_closure_oracle():
                         (form, curves, c)
 
 
+def test_complement_simple_matches_the_modulus_column_oracle():
+    # free rank 0-3, A and B summands: each torsion row read in Z/q must give
+    # the verdict of a span over Z with one modulus column q*e_j per summand
+    rng = random.Random(75)
+    seen = set()
+    for _ in range(1500):
+        p = rng.choice([3, 5, 7, 101])
+        form = WallForm(p, [(rng.randint(1, 3), rng.choice("AB"), smallest_nonresidue(p))
+                            for _ in range(rng.randint(1, 4))])
+        r = rng.randint(0, 3)
+        h = Homology1(r, form)
+
+        def residues(spread=1):
+            return [rng.randint(-spread * q, spread * q) for q in form.orders]
+
+        c = TorsionElement(residues())
+        chi = Character(max(form.orders), [0] * r,
+                        [pair(form, c.reduced(form), g) for g in generators(form)], form)
+        curves = [CurveClass(tuple(rng.randint(-4, 4) for _ in range(r)),
+                             TorsionElement(residues(2)))
+                  for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            # two curves whose free parts cancel and whose torsion sums to c
+            f = tuple(rng.randint(-4, 4) for _ in range(r))
+            x = residues()
+            curves += [CurveClass(f, TorsionElement(x)),
+                       CurveClass(tuple(-v for v in f),
+                                  TorsionElement(a - b for a, b in zip(c.values, x)))]
+            rng.shuffle(curves)
+        verdict = complement_simple(h, chi, curves)
+        assert verdict == complement_by_modulus_columns(h, chi, curves), (form, r, c, curves)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
 def test_scc_examples():
     p = 5
     form = WallForm(p, [(1, "A", 1), (2, "A", 1)])
@@ -262,6 +298,22 @@ def test_scc_examples():
     picks = scc_curves(h, Character(p, [], [Fraction(1, 5)], form))
     assert picks[0].element == TorsionElement([1])
     assert picks[0].pairing == Fraction(1, 5)
+
+
+def test_select_checks_its_picks(monkeypatch):
+    # a dual of the wrong order, or a wrong inverse, is refused rather than
+    # returned as a pick
+    form = WallForm(5, [(2, "A", 1), (1, "B", 2)])
+    h = Homology1(0, form)
+    chi = Character(5, [], [Fraction(1, 5), Fraction(2, 5)], form)
+    assert len(scc_curves(h, chi)) == 2
+    with monkeypatch.context() as m:
+        m.setattr(linkform, "dual_element", lambda form, values: TorsionElement([1, 1]))
+        with pytest.raises(InconsistencyError, match="dual projection has order 25"):
+            scc_curves(h, chi)
+    monkeypatch.setattr(linkform, "pow", lambda b, e, m: (b % m + 1) % m, raising=False)
+    with pytest.raises(InconsistencyError, match="selected curve pairs to"):
+        scc_curves(h, chi)
 
 
 def test_scc_domain_errors():
@@ -409,6 +461,23 @@ def test_parse_errors():
         parse_character("bogus:1", form)
     with pytest.raises(ValueError):
         parse_curve("free:1;tors:0", form, free_rank=0)
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("A0+A5", "0 is not a prime power"),
+    ("A5+A0", "0 is not a prime power"),
+    ("A5+A-5", "-5 is not a prime power"),
+    ("A5+A1", "1 is not a prime power"),
+    ("A5+A6", "summand order must be a prime power"),
+    ("A5+A7", "mixed primes 5 and 7 in one form"),
+    ("A25+A5+A10", "summand order must be a prime power"),
+])
+def test_bad_summand_orders_raise_the_first_order_errors(literal, message):
+    # later orders are split by the first order's prime; a bad one still
+    # gets the error a first order would get, and 0 does not loop
+    with pytest.raises(ValueError) as exc:
+        parse_form(literal)
+    assert str(exc.value) == message
 
 
 def _factor_or_error(f, q):

@@ -21,7 +21,8 @@ from skeincalc.skein import (
     twist,
 )
 
-from oracles import ZPoly, from_z, hopf_binomial, hopf_state_sum, random_skein, to_z
+from oracles import (ZPoly, from_z, hopf_binomial, hopf_state_sum, random_skein, skein_from_json,
+                     skein_str, skein_to_json, to_z)
 
 
 def e(p, k):
@@ -208,8 +209,13 @@ def test_kappa_values_and_identity():
 
 
 def test_skein_json_round_trip():
+    # the printers are test helpers: no command prints a skein element
     rng = random.Random(3)
     x = random_skein(rng, 5)
-    assert SkeinElem.from_json(x.to_json()) == x
-    data = x.to_json()
+    assert skein_from_json(skein_to_json(x)) == x
+    data = skein_to_json(x)
     assert data.keys() == {"p", "coeffs"}
+    assert not hasattr(SkeinElem, "to_json") and not hasattr(SkeinElem, "from_json")
+    assert skein_str(SkeinElem(5, [])) == "0"
+    assert skein_str(e(5, 2)) == "e_2"
+    assert skein_str(SkeinElem(5, [2, 0, 1])) == "2 + e_2"
