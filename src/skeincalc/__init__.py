@@ -15,7 +15,6 @@ import importlib
 from .cyclotomic import (
     CycInt,
     CycNum,
-    ResidueClass,
     mod_p,
     ring_modulus,
     root,
@@ -41,7 +40,7 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 _SUBMODULES = (*_LAZY, "intlinalg")
 
 __all__ = [
-    "CycInt", "CycNum", "ResidueClass", "mod_p", "ring_modulus", "root",
+    "CycInt", "CycNum", "mod_p", "ring_modulus", "root",
     "valuation", *_HOME,
 ]
 

@@ -172,14 +172,14 @@ def _cmd_invariant(args) -> int:
     p = args.p
     value = invariants.cover_invariant(p)
     verdict = congruence.check_kappa_congruence(value, p)
-    phase_verdict = congruence.check_kappa_congruence_up_to_phase(value, p)
     v = invariants.cover_invariant_valuation(p)
     hom = invariants.homology_from_matrix(invariants.linking_matrix(p))
     record = {
         "p": p,
         "value": value.to_json(),
         **verdict.to_json(),
-        "congruent_up_to_phase": phase_verdict.congruent,
+        # kappa permutes the residues, so the up-to-phase verdict is the strict one
+        "congruent_up_to_phase": verdict.congruent,
         "valuation": v,
         "homology": hom.to_json(),
         "phase_pinned": skein.phase_pinned(p),

@@ -14,8 +14,6 @@ from functools import lru_cache
 from .cyclotomic import (
     CycInt,
     CycNum,
-    ResidueClass,
-    _residue,
     from_int,
     mod_p,
     ring_modulus,
@@ -52,7 +50,7 @@ class CongruenceVerdict:
                 "candidates_checked": self.candidates_checked}
 
 
-def _line(modulus: int, p: int, coeffs) -> tuple[int, ResidueClass] | None:
+def _line(p: int, coeffs) -> tuple[int, tuple[int, ...]] | None:
     """(c, key) with coeffs = c * key mod p and the first nonzero coefficient
     of key 1, or None when every coefficient is 0 mod p.
 
@@ -63,7 +61,7 @@ def _line(modulus: int, p: int, coeffs) -> tuple[int, ResidueClass] | None:
         c = a % p
         if c:
             inv = pow(c, -1, p)
-            return c, _residue(modulus, p, [b * inv for b in coeffs])
+            return c, tuple([b * inv % p for b in coeffs])
     return None
 
 
@@ -72,18 +70,19 @@ def kappa_residues(p: int) -> dict:
     """The residues n*kappa^m mod p, one entry per line F_p^* * kappa^m.
 
     For 0 < n < p the residues n*kappa^m fill the line through kappa^m, so
-    each line is keyed by its point whose first nonzero coefficient is 1,
-    and maps to (m, u): m is the least exponent on the line and
-    residue(kappa^m) = u * key.  The zero residue is keyed to (0, 0).
-    kappa^m is zeta_N^(t*m), so the table has at most ord(kappa) + 1
-    entries and takes no ring product to build.  The coefficients of a
-    power of zeta_N are 0 or +-1, so u is 1 or p - 1 and u^-1 = u.
+    each line is keyed by the coefficient tuple (mod p, see mod_p) of its
+    point whose first nonzero coefficient is 1, and maps to (m, u): m is
+    the least exponent on the line and residue(kappa^m) = u * key.  The
+    zero residue is keyed to (0, 0).  kappa^m is zeta_N^(t*m), so the table
+    has at most ord(kappa) + 1 entries and takes no ring product to build.
+    The coefficients of a power of zeta_N are 0 or +-1, so u is 1 or p - 1
+    and u^-1 = u.
     """
     N = ring_modulus(p)
     t = kappa_root_exponent(p)
-    out: dict[ResidueClass, tuple[int, int]] = {mod_p(from_int(N, 0), p): (0, 0)}
+    out: dict[tuple[int, ...], tuple[int, int]] = {mod_p(from_int(N, 0), p): (0, 0)}
     for m in range(kappa_order(p)):
-        u, key = _line(N, p, root(N, t * m).coeffs)
+        u, key = _line(p, root(N, t * m).coeffs)
         out.setdefault(key, (m, u))
     return out
 
@@ -105,7 +104,7 @@ def check_kappa_congruence(x, p: int) -> CongruenceVerdict:
         x = from_int(N, x)
     elif x.modulus != N:
         raise ModulusMismatchError(f"x is in Z[zeta_{x.modulus}], not Z[zeta_{N}]")
-    line = _line(N, p, x.coeffs)
+    line = _line(p, x.coeffs)
     if line is None:
         witness = (0, 0)
     else:
@@ -220,5 +219,5 @@ def orbit_congruence_check(weights, orbit_values, p: int,
     for j in range(num_colors):
         rhs = rhs + weights[j] ** p * orbit_values[canonical_orbit((j,) * p)]
     diff = lhs - rhs
-    congruent = mod_p(diff, p).is_zero if isinstance(diff, CycInt) else diff % p == 0
+    congruent = not any(mod_p(diff, p)) if isinstance(diff, CycInt) else diff % p == 0
     return OrbitCheckReport(lhs, rhs, congruent, total)

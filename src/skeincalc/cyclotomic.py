@@ -299,11 +299,17 @@ def root(N: int, j: int) -> CycInt:
 
 
 class CycNum:
-    """num / p**k with num a CycInt; reduced so k = 0 or p does not divide num."""
+    """num / p**k with num a CycInt; reduced so k = 0 or p does not divide num.
+
+    p must be the prime of num's ring Z[zeta_N] (N = p, 2p or 4p): the
+    (1 - zeta_p)-adic valuation reads the denominator as a power of p there.
+    """
 
     __slots__ = ("num", "p", "k")
 
     def __init__(self, num: CycInt, p: int, k: int = 0) -> None:
+        if p != _shape(num.modulus)[0]:
+            raise ValueError(f"denominator prime {p} is not the prime of Z[zeta_{num.modulus}]")
         if k < 0:
             raise ValueError("denominator exponent must be >= 0")
         while k > 0 and all(c % p == 0 for c in num.coeffs):
@@ -323,8 +329,7 @@ class CycNum:
 
     def _coerce(self, other):
         if isinstance(other, CycNum):
-            if other.p != self.p:
-                raise ValueError(f"cannot mix denominators {self.p} and {other.p}")
+            # p is the prime of the ring, so one ring means one denominator
             if other.modulus != self.modulus:
                 raise ModulusMismatchError("operands live in different rings")
             return other
@@ -382,7 +387,7 @@ class CycNum:
             other = self._coerce(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return (self.p == other.p and self.k == other.k and self.num == other.num)
+        return self.k == other.k and self.num == other.num
 
     def __hash__(self):
         return hash((self.num, self.p, self.k))
@@ -410,68 +415,13 @@ class CycNum:
         return cls(CycInt(data["modulus"], data["coeffs"]), data["p"], data["k"])
 
 
-class ResidueClass:
-    """Image of a CycInt in Z[zeta_N]/p, stored coefficient-wise mod p."""
+def mod_p(x: CycInt, p: int) -> tuple[int, ...]:
+    """Coefficient-wise reduction Z[zeta_N] -> Z[zeta_N]/p (a ring map).
 
-    __slots__ = ("modulus", "p", "coeffs")
-
-    def __init__(self, modulus: int, p: int, coeffs) -> None:
-        coeffs = tuple(operator.index(c) % p for c in coeffs)
-        if len(coeffs) != euler_phi(modulus):
-            raise ValueError("wrong coefficient count")
-        self.modulus = modulus
-        self.p = p
-        self.coeffs = coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _coerce(self, other):
-        if not isinstance(other, ResidueClass):
-            return None
-        if other.modulus != self.modulus or other.p != self.p:
-            raise ModulusMismatchError("residues live in different quotients")
-        return other
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _residue(self.modulus, self.p, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prod = mul_reduce(self.coeffs, o.coeffs, self.modulus)
-        return _residue(self.modulus, self.p, prod)
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueClass):
-            return NotImplemented
-        return (self.modulus == other.modulus and self.p == other.p
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.modulus, self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"ResidueClass({self.modulus}, {self.p}, {list(self.coeffs)})"
-
-
-def _residue(modulus: int, p: int, coeffs) -> ResidueClass:
-    """ResidueClass of ring results (phi(modulus) ints), reduced mod p only."""
-    x = object.__new__(ResidueClass)
-    x.modulus = modulus
-    x.p = p
-    x.coeffs = tuple([c % p for c in coeffs])
-    return x
-
-
-def mod_p(x: CycInt, p: int) -> ResidueClass:
-    """Coefficient-wise reduction Z[zeta_N] -> Z[zeta_N]/p (a ring map)."""
-    return _residue(x.modulus, p, x.coeffs)
+    The residue is the tuple of the power-basis coefficients mod p, which
+    names it uniquely because the ring has a power basis.
+    """
+    return tuple([c % p for c in x.coeffs])
 
 
 def _cofactor(N: int, p: int) -> CycInt:

@@ -70,18 +70,6 @@ class WallForm:
     def orders(self) -> tuple[int, ...]:
         return tuple(self.order(i) for i in range(len(self.summands)))
 
-    def elements(self):
-        """Every TorsionElement, in lexicographic order (for exhaustive tests)."""
-        def rec(i):
-            if i == len(self.summands):
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for x in range(self.order(i)):
-                    yield (x,) + rest
-        for values in rec(0):
-            yield TorsionElement(values)
-
     def __eq__(self, other):
         if not isinstance(other, WallForm):
             return NotImplemented

@@ -56,7 +56,7 @@ def quantum_int(p: int, k: int) -> CycInt:
 def _as_cycnum(p: int, value) -> CycNum:
     N = ring_modulus(p)
     if isinstance(value, CycNum):
-        if value.modulus != N or value.p != p:
+        if value.modulus != N:
             raise ModulusMismatchError(f"coefficient does not live in the ring for p={p}")
         return value
     if isinstance(value, CycInt):
@@ -73,8 +73,8 @@ class SkeinElem:
 
     Coefficients may be given as CycNum, CycInt or int; trailing zeros are
     trimmed so the degree (in z, equal to the last k) is canonical, -1 for
-    the zero element.  Elements form a module over O_p[1/p]: they add and
-    scale, and are read through point_eval.
+    the zero element.  Elements are read-only e-basis vectors, built by
+    omega and twist and read through point_eval.
     """
 
     __slots__ = ("p", "coeffs")
@@ -94,57 +94,10 @@ class SkeinElem:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _coerce(self, other):
-        if isinstance(other, SkeinElem):
-            if other.p != self.p:
-                raise ModulusMismatchError("skein elements at different primes")
-            return other
-        if isinstance(other, (CycNum, CycInt, int)):
-            return SkeinElem(self.p, [other])
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return SkeinElem(self.p, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return SkeinElem(self.p, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, (CycNum, CycInt, int)):
-            return NotImplemented
-        c = _as_cycnum(self.p, other)
-        return SkeinElem(self.p, [a * c for a in self.coeffs])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, SkeinElem):
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.p == other.p and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.p, self.coeffs))

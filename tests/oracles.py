@@ -33,7 +33,8 @@ x^N - 1 by every Phi_d, d | N, d < N, and a vector is reduced modulo it by
 long division, where the package folds t^N = 1, t^(N/2) = -1 and
 Phi_p(s x^m) = 0 in closed form.  The command line is read by argparse,
 where the package reads it from its own option table.  Skein elements are
-printed and read as JSON only here; no command prints one.
+printed and read as JSON only here; no command prints one, and the
+elements of a Wall form's group are listed only here, for exhaustive tests.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, canonical_
 from skeincalc.cyclotomic import (
     CycInt,
     CycNum,
-    ResidueClass,
     from_int,
     is_prime,
     mod_p,
@@ -60,7 +60,7 @@ from skeincalc.cyclotomic import (
 )
 from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
 from skeincalc.intlinalg import _clear_leading, _rows, in_span
-from skeincalc.linkform import _iroot, dual_element
+from skeincalc.linkform import TorsionElement, _iroot, dual_element
 from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order
 
 
@@ -451,7 +451,7 @@ def kappa_residues_by_enumeration(p: int) -> dict:
     m runs over 0 <= m < ord(kappa), n over 0 <= n < p; larger m, n only
     repeat these residues.
     """
-    out: dict[ResidueClass, tuple[int, int]] = {}
+    out: dict[tuple[int, ...], tuple[int, int]] = {}
     power = from_int(ring_modulus(p), 1)
     for m in range(kappa_order(p)):
         for n in range(p):
@@ -625,6 +625,12 @@ def span_by_closure(orders, generators) -> set:
     return span
 
 
+def form_elements(form):
+    """Every TorsionElement of the form's group, the first coordinate fastest."""
+    for values in itertools.product(*map(range, reversed(form.orders))):
+        yield TorsionElement(values[::-1])
+
+
 def complement_by_modulus_columns(h, chi, curves) -> bool:
     """complement_simple as a span test over Z alone.
 
@@ -704,7 +710,7 @@ def orbit_check_by_sequence(weights, orbit_values, p: int) -> OrbitCheckReport:
     for j in range(num_colors):
         rhs = rhs + weights[j] ** p * orbit_values[canonical_orbit((j,) * p)]
     diff = lhs - rhs
-    congruent = mod_p(diff, p).is_zero if isinstance(diff, CycInt) else diff % p == 0
+    congruent = not any(mod_p(diff, p)) if isinstance(diff, CycInt) else diff % p == 0
     return OrbitCheckReport(lhs, rhs, congruent, num_colors ** p)
 
 

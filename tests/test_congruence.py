@@ -45,8 +45,8 @@ def test_kappa_residue_list():
     assert res[zero_residue] == (0, 0)
     # constructed member 2 kappa^3: its line key has first nonzero coefficient 1
     r = mod_p(kappa(5) ** 3 * 2, 5)
-    c = next(a for a in r.coeffs if a)
-    m, u = res[mod_p(CycInt(20, [a * pow(c, -1, 5) for a in r.coeffs]), 5)]
+    c = next(a for a in r if a)
+    m, u = res[mod_p(CycInt(20, [a * pow(c, -1, 5) for a in r]), 5)]
     assert m == 3 and c * pow(u, -1, 5) % 5 == 2
 
 

@@ -8,7 +8,6 @@ from skeincalc.cyclotomic import (
     PRIME_TEST_LIMIT,
     CycInt,
     CycNum,
-    ResidueClass,
     euler_phi,
     from_int,
     is_prime,
@@ -127,8 +126,6 @@ def test_modulus_mismatch():
     for bad in (0, -20, 1, 2, 8, 9, 18, 24, 30, 36):
         with pytest.raises(ValueError, match="needs N = p, 2p or 4p"):
             CycInt(bad, [])
-        with pytest.raises(ValueError, match="needs N = p, 2p or 4p"):
-            ResidueClass(bad, 3, [])
     assert euler_phi(12) == 4
     assert CycInt(12, [0, 1, 0, 0]) == root(12, 1)
     assert root(12, 1) ** 6 == -1
@@ -220,25 +217,27 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
 
 
 def test_residue_class_checks_outside_input():
-    assert ResidueClass(20, 5, [7, -1, 0, 0, 0, 0, 0, 5]).coeffs == (2, 4, 0, 0, 0, 0, 0, 0)
+    # a residue is the tuple mod_p reads off a CycInt, which checks the input
+    assert mod_p(CycInt(20, [7, -1, 0, 0, 0, 0, 0, 5]), 5) == (2, 4, 0, 0, 0, 0, 0, 0)
     with pytest.raises(TypeError):
-        ResidueClass(20, 5, [1.5] + [0] * 7)
+        CycInt(20, [1.5] + [0] * 7)
     with pytest.raises(ValueError):
-        ResidueClass(20, 5, [0] * 7)
+        CycInt(20, [0] * 7)
 
 
 def test_mod_p_examples():
-    assert mod_p(root(20, 1) * 5, 5).is_zero
+    assert mod_p(root(20, 1) * 5, 5) == (0,) * 8
     x = CycInt(20, [0, -2, 0, 4, 0, -1, 0, -2])
-    assert mod_p(x, 5).coeffs == (0, 3, 0, 4, 0, 4, 0, 3)
+    assert mod_p(x, 5) == (0, 3, 0, 4, 0, 4, 0, 3)
 
 
 def test_mod_p_is_ring_hom():
     rng = random.Random(31)
     for _ in range(100):
         x, y = random_cycint(rng, 20), random_cycint(rng, 20)
-        assert mod_p(x * y, 5) == mod_p(x, 5) * mod_p(y, 5)
-        assert mod_p(x + y, 5) == mod_p(x, 5) + mod_p(y, 5)
+        rx, ry = CycInt(20, mod_p(x, 5)), CycInt(20, mod_p(y, 5))
+        assert mod_p(x * y, 5) == mod_p(rx * ry, 5)
+        assert mod_p(x + y, 5) == mod_p(rx + ry, 5)
 
 
 def test_valuation_examples():
@@ -279,6 +278,18 @@ def test_valuation_of_cycnum():
     assert valuation(x, 5) == 0
     y = CycNum(one(20), 5, 2)  # 1/25
     assert valuation(y, 5) == -8
+
+
+def test_cycnum_denominator_is_the_ring_prime():
+    # 1/7 is a unit at (1 - zeta_5), so a 7 in Z[zeta_20]'s denominator
+    # would read as a power of (1 - zeta_5); every such value is refused
+    for N, p in ((20, 7), (20, 2), (14, 5), (14, 2), (5, 1)):
+        with pytest.raises(ValueError, match="prime"):
+            CycNum(one(N), p, 1)
+        with pytest.raises(ValueError, match="prime"):
+            CycNum.from_json({"modulus": N, "coeffs": list(one(N).coeffs), "p": p, "k": 0})
+    for N, p in ((5, 5), (10, 5), (20, 5), (14, 7)):
+        assert valuation(CycNum(one(N), p, 1), p) == 1 - p
 
 
 def test_cycnum_canonicalization_and_arithmetic():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complement_by_modulus_columns, prime_power_by_trial_division, span_by_closure
+from oracles import (complement_by_modulus_columns, form_elements, prime_power_by_trial_division,
+                     span_by_closure)
 from skeincalc.cyclotomic import is_prime
 from skeincalc import linkform
 from skeincalc.errors import CharacterDomainError, InconsistencyError
@@ -68,7 +69,7 @@ def test_pair_examples():
 def test_pair_symmetric_bilinear_nonsingular_exhaustive():
     # every p=5 form of order <= 125
     for form in all_forms(5, 125):
-        elements = list(form.elements())
+        elements = list(form_elements(form))
         for x in elements:
             for y in elements:
                 v = pair(form, x, y)
@@ -86,7 +87,7 @@ def test_pair_symmetric_bilinear_nonsingular_exhaustive():
 def test_dual_element_round_trip_exhaustive():
     for form in all_forms(5, 125):
         gens = generators(form)
-        for c in form.elements():
+        for c in form_elements(form):
             chi_values = [pair(form, c, g) for g in gens]
             assert dual_element(form, chi_values) == c.reduced(form)
 
@@ -189,7 +190,7 @@ def test_lens_space_connected_sum_no_good_curve():
     h = Homology1(0, form)
     chi = Character(3, [], [Fraction(1, 3)] * 3, form)
     checked = 0
-    for gamma in form.elements():
+    for gamma in form_elements(form):
         curve = CurveClass((), gamma)
         if complement_simple(h, chi, [curve]):
             assert chi.evaluate(curve) == 0
@@ -229,7 +230,7 @@ def test_complement_simple_matches_the_closure_oracle():
         for form in all_forms(p, 25):
             h = Homology1(0, form)
             gens = generators(form)
-            elements = list(form.elements())
+            elements = list(form_elements(form))
             for size in (0, 1, 1, 2, 2, 3):
                 curves = rng.sample(elements, size)
                 span = span_by_closure(form.orders, [c.values for c in curves])

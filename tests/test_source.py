@@ -126,3 +126,32 @@ def test_span_test_is_membership_only():
         found.append(f"linkform.py: {names - uses} bare uses of intlinalg")
     assert SOURCE.is_dir()
     assert not found, f"span test beyond in_span: {found}"
+
+
+def test_only_ring_types_define_arithmetic():
+    # CycInt and CycNum are the one representation of exact arithmetic:
+    # residues mod p are coefficient tuples (cyclotomic.mod_p) and skein
+    # elements are read-only e-basis vectors
+    ops = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+           "__pow__"}
+    ring_types = {"CycInt", "CycNum"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        name = path.name
+        for node in ast.walk(ast.parse(path.read_text(), name)):
+            if isinstance(node, ast.ClassDef) and node.name == "ResidueClass":
+                found.append(f"{name}:{node.lineno}: defines ResidueClass")
+            if isinstance(node, ast.ClassDef) and node.name not in ring_types:
+                for stmt in node.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        names = [stmt.name]
+                    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                        names = [t.id for t in targets if isinstance(t, ast.Name)]
+                    else:
+                        continue
+                    found += [f"{name}:{stmt.lineno}: {node.name}.{n}" for n in names if n in ops]
+            elif isinstance(node, ast.Constant) and node.value in ops:
+                found.append(f"{name}:{node.lineno}: {node.value!r}")  # a setattr route
+    assert SOURCE.is_dir()
+    assert not found, f"arithmetic outside CycInt and CycNum: {found}"
