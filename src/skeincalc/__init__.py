@@ -3,8 +3,8 @@ with cyclotomic residue tests and linking-form algebra.
 
 All arithmetic is pure Python over exact integers.  Ring products go
 through one coefficient kernel, cyclotomic.mul_reduce; the (1 - zeta_p)-adic
-valuation reduces to ring products through the (1 - zeta_p) cofactor, and
-nothing on the way to an answer divides in the ring.
+valuation makes none, dividing x's components over Z[zeta_p] by 1 - zeta_p
+with prefix sums, and nothing on the way to an answer divides in the ring.
 
 Importing the package loads only the ring and the errors; every other layer
 loads on first access to one of its names or to the submodule (PEP 562).

@@ -17,9 +17,9 @@ from .cyclotomic import CycInt, euler_phi, is_prime, ring_modulus
 from .errors import CalcError, TooLargeError
 
 # the largest p that valuation and hopf accept: valuation --p 101 takes
-# about 0.37 s on a 2-CPU machine (0.15 s at p = 61)
+# about 0.15 s end to end on a 2-CPU machine (0.12 s at p = 61)
 MAX_P = 101
-# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 2.0 s
+# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 1.5-1.9 s
 MAX_N = 1000
 # the most rows or columns that homology accepts: a random 60x60 matrix takes
 # about 0.15 s with one-digit entries and about 2.9 s with the 33-digit
@@ -28,6 +28,10 @@ MAX_MATRIX_DIM = 60
 # the most digits homology prints in one invariant factor, below Python's
 # 4,300-digit limit on converting an int to text
 MAX_FACTOR_DIGITS = 4000
+# the most summands, free rank and curves that cover analyze accepts: its
+# span test eliminates free rank + summand rows and one column per curve,
+# about 1.3 s in process at 40 of each with random 33-digit free coordinates
+MAX_COVER_DIM = 40
 
 
 def _nonneg(text: str) -> int:
@@ -271,6 +275,9 @@ def _cmd_cover_analyze(args) -> int:
         curves = [linkform.parse_curve(c, form, args.free_rank) for c in args.curves]
     except ValueError as exc:
         return _arg_error(str(exc))
+    for name, value in (("summand count", len(form.summands)), ("free rank", args.free_rank),
+                        ("curve count", len(curves))):
+        _check_cap(name, value, MAX_COVER_DIM)
     h = linkform.Homology1(args.free_rank, form)
     simple = linkform.is_simple(h, chi)
     dual = linkform.dual_element(form, chi.torsion_values)
@@ -332,7 +339,7 @@ def _cmd_orbit_check(args) -> int:
     cap = congruence.ORBIT_TERM_CAP if args.cap is None else args.cap
     try:
         sequences = congruence.orbit_sequence_count(args.colors, p, args.trials, cap)
-    except (ValueError, TooLargeError) as exc:
+    except ValueError as exc:
         return _arg_error(str(exc))
     N = ring_modulus(p)
     rng = random.Random(args.seed)

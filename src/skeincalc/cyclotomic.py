@@ -16,6 +16,7 @@ A**(-6 - p(p+1)/2), so every constant of the SO(3) theory at p is exact here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import lru_cache
@@ -424,27 +425,18 @@ def mod_p(x: CycInt, p: int) -> tuple[int, ...]:
     return tuple([c % p for c in x.coeffs])
 
 
-def _cofactor(N: int, p: int) -> CycInt:
-    """c = prod_{a=2}^{p-1} (1 - zeta_p**a), so that (1 - zeta_p) * c = p.
-
-    Built as c = -sum_{k<p} (k+1) zeta_p**k with one reduction: (1 - zeta_p)
-    times that sum telescopes to sum_{k<p} zeta_p**k - p*zeta_p**p = -p.
-    """
-    step = N // p
-    poly = [0] * ((p - 1) * step + 1)
-    poly[::step] = range(-1, -p - 1, -1)
-    return CycInt.from_poly(N, poly)
-
-
 def valuation(x, p: int):
     """Largest k with x in (1 - zeta_p)**k Z[zeta_N]; math.inf for 0.
 
-    Uses p = unit * (1 - zeta_p)**(p-1) to strip integer factors of p first,
-    then divides by (1 - zeta_p) until the division stops being exact.  The
-    division multiplies by the cofactor c of (1 - zeta_p) in p (see
-    _cofactor): x / (1 - zeta_p) = x * c / p, exact iff p divides every
-    coefficient of x * c.  For a CycNum y/p**j this is
-    valuation(y) - j*(p-1).
+    Uses p = unit * (1 - zeta_p)**(p-1) to strip integer factors of p first.
+    Then, with (p, m, s) = _shape(N), w = s * zeta_N**m is a primitive p-th
+    root and Z[zeta_N] is free over Z[w] on zeta_N**r, r < m: coefficient
+    c_(mk+r) is s**k times component r's coefficient of w**k.  As 1 - w is
+    an associate of 1 - zeta_p, x lies in (1 - zeta_p)**k Z[zeta_N] iff
+    every component lies in (1 - w)**k Z[w].  A component divides by 1 - w
+    iff p divides the last prefix sum S_(p-2) of its p - 1 coefficients,
+    and the quotient's coefficients are S_i - (i+1) * S_(p-2)/p.  For a
+    CycNum y/p**j this is valuation(y) - j*(p-1).
     """
     if isinstance(x, CycNum):
         v = valuation(x.num, p)
@@ -452,16 +444,19 @@ def valuation(x, p: int):
     if x.is_zero:
         return math.inf
     N = x.modulus
-    if N % p:
-        raise ValueError(f"zeta_{p} does not lie in Z[zeta_{N}]")
-    v = 0
-    while all(c % p == 0 for c in x.coeffs):
-        x = _make(N, tuple([c // p for c in x.coeffs]))
+    q, m, s = _shape(N)
+    if p != q:
+        raise ValueError(f"valuation at (1 - zeta_{p}) needs the prime {q} of Z[zeta_{N}]")
+    coeffs, v = x.coeffs, 0
+    while not any(c % p for c in coeffs):
+        coeffs = [c // p for c in coeffs]
         v += p - 1
-    c = _cofactor(N, p)
+    parts = [[c * s ** k for k, c in enumerate(coeffs[r::m])] for r in range(m)]
     while True:
-        y = (x * c).coeffs
-        if any(t % p for t in y):
-            return v
-        x = _make(N, tuple([t // p for t in y]))
+        for r, part in enumerate(parts):
+            sums = list(itertools.accumulate(part))
+            t, rem = divmod(sums[-1], p)
+            if rem:
+                return v
+            parts[r] = [a - i * t for i, a in enumerate(sums, 1)]
         v += 1

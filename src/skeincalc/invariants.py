@@ -7,10 +7,10 @@ which every component is +1-framed and mutually +1-linked, so the bracket
 is the functional L(f) = plane_eval(twist(f, 1)) applied to the product
 twist(zero_decor, -1) * cable**p of the decorations as polynomials in z.
 
-L is a weighted sum of evaluations at the points of skein.hopf_points, so
-the bracket needs the two decorations' values there (skein.point_eval) and
-one ring power per point; the product cable**p is never formed and nothing
-is divided.
+bracket_satellite evaluates L for any decorations as a weighted sum over
+the points of skein.hopf_points.  With omega(p) on every component only the
+point z_1 = delta is left and contributes <omega>**p (README lemmas
+(a)-(c)), so both invariants take that power and nothing is divided.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import skeincalc
 from .cyclotomic import CycNum, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
 from .skein import (SkeinElem, eta, eta_squared, hopf_points, omega, phase_pinned,
-                    point_eval, twist)
+                    plane_eval, point_eval, twist)
 
 
 class HopfSatellite:
@@ -64,8 +64,8 @@ def bracket_satellite(sat: HopfSatellite) -> CycNum:
 
 @lru_cache(maxsize=None)
 def _surgery_bracket(p: int) -> CycNum:
-    """The bracket with omega(p) on every component, shared by both invariants."""
-    return bracket_satellite(HopfSatellite(p, omega(p), omega(p)))
+    """The bracket with omega(p) on every component, <omega>**p; shared by both invariants."""
+    return plane_eval(omega(p)) ** p
 
 
 def cover_invariant(p: int) -> CycNum:

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the production code paths they check.  The
-production brackets evaluate at the points z_j with closed-form weights;
-here the Hopf bracket is resolved from an explicit diagram crossing by
-crossing, or summed from its binomial closed form with one exact division.
+production brackets evaluate at the points z_j with closed-form weights,
+and the surgery bracket is the one point value <omega>**p; here the Hopf
+bracket is resolved from an explicit diagram crossing by crossing, or
+summed from its binomial closed form with one exact division.
 The package keeps skein elements on the Chebyshev basis e_k and evaluates
 them by Clenshaw's recurrence; here they become polynomials in z (ZPoly),
 built by e_(k+1) = z e_k - e_(k-1) and read back through the ballot-number
@@ -23,10 +24,12 @@ closure of its generators under addition, or a span over Z with one
 modulus column per summand, where the package reads each torsion row in
 Z/q by valuation pivots.  A prime-power order is factored
 by trial division, where the package takes one gcd with a product of small
-primes.  The cofactor of
-(1 - zeta_p) in p is the product of the other 1 - zeta_p**a, where the
-package sums it in closed form.  Exact division and inversion up to a power
-of p go through the Galois norm; the package never divides in the ring.  The
+primes.  The (1 - zeta_p)-adic valuation divides by 1 - zeta_p through
+its cofactor in p, one ring product per unit of valuation, where the
+package splits x into components over Z[zeta_p] and divides each by prefix
+sums; the cofactor's closed form is checked against the product of the
+other 1 - zeta_p**a.  Exact division and inversion up to a power of p go
+through the Galois norm; the package never divides in the ring.  The
 orbit-collapse sum multiplies the weights sequence by sequence, where the
 package multiplies them once per color multiset.  Phi_N is found by dividing
 x^N - 1 by every Phi_d, d | N, d < N, and a vector is reduced modulo it by
@@ -679,6 +682,40 @@ def valuation_cofactor_product(N: int, p: int) -> CycInt:
     for a in range(2, p):
         c = c * (one(N) - root(N, a * N // p))
     return c
+
+
+def valuation_cofactor(N: int, p: int) -> CycInt:
+    """c = prod_{a=2}^{p-1} (1 - zeta_p**a), so that (1 - zeta_p) * c = p.
+
+    Built as c = -sum_{k<p} (k+1) zeta_p**k with one reduction: (1 - zeta_p)
+    times that sum telescopes to sum_{k<p} zeta_p**k - p*zeta_p**p = -p.
+    """
+    step = N // p
+    poly = [0] * ((p - 1) * step + 1)
+    poly[::step] = range(-1, -p - 1, -1)
+    return CycInt.from_poly(N, poly)
+
+
+def valuation_by_cofactor(x: CycInt, p: int):
+    """The (1 - zeta_p)-adic valuation with one ring product per unit of it.
+
+    Whole factors of p come off first; then x / (1 - zeta_p) = x * c / p
+    with c = valuation_cofactor(N, p), exact iff p divides every coefficient
+    of x * c.
+    """
+    if x.is_zero:
+        return math.inf
+    N, v = x.modulus, 0
+    while not any(c % p for c in x.coeffs):
+        x = CycInt(N, [c // p for c in x.coeffs])
+        v += p - 1
+    c = valuation_cofactor(N, p)
+    while True:
+        y = (x * c).coeffs
+        if any(t % p for t in y):
+            return v
+        x = CycInt(N, [t // p for t in y])
+        v += 1
 
 
 def prime_power_by_trial_division(q: int) -> tuple[int, int]:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skeincalc.cli import COMMANDS, MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, main, parse_args
+from skeincalc.cli import (COMMANDS, MAX_COVER_DIM, MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, main,
+                           parse_args)
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
 
@@ -183,7 +184,7 @@ def test_cover_analyze_non_surjective_order(capsys):
 def test_orbit_check_argument_validation(capsys):
     assert main(["orbit-check", "--p", "5", "--colors", "0"]) == 2
     assert main(["orbit-check", "--p", "5", "--trials", "0"]) == 2
-    assert main(["orbit-check", "--p", "11", "--colors", "10"]) == 2  # over cap
+    assert main(["orbit-check", "--p", "11", "--colors", "10"]) == 1  # over cap
     capsys.readouterr()
 
 
@@ -264,7 +265,7 @@ def test_orbit_check_work_is_refused_before_enumeration():
                  ("--p", "3", "--colors", "1", "--trials", "100000000"),
                  ("--p", "11", "--colors", "3")):
         out = run_module("orbit-check", *argv)
-        assert out.returncode == 2, argv
+        assert out.returncode == 1, argv
         assert "exceed the cap" in out.stderr
         assert "Traceback" not in out.stderr
 
@@ -276,7 +277,7 @@ def test_orbit_check_charges_each_trial_before_enumeration(capsys, monkeypatch):
         raise AssertionError("orbits enumerated before the work cap was checked")
 
     monkeypatch.setattr(congruence, "necklace_orbits", enumerate_orbits)
-    assert main(["orbit-check", "--p", "3", "--colors", "1", "--trials", "55555"]) == 2
+    assert main(["orbit-check", "--p", "3", "--colors", "1", "--trials", "55555"]) == 1
     assert "exceed the cap" in capsys.readouterr().err
     cap_help = COMMANDS["orbit-check"][2]["--cap"][2]
     assert f"(colors^p + {congruence.ORBIT_TRIAL_SEQUENCES})" in cap_help
@@ -285,8 +286,40 @@ def test_orbit_check_charges_each_trial_before_enumeration(capsys, monkeypatch):
 def test_orbit_check_cap_option_raises_the_cap(capsys):
     # the check of each trial once ignored --cap and refused this with exit 1
     assert main(["orbit-check", "--p", "67", "--colors", "1", "--cap", str(10 ** 7)]) == 0
-    assert main(["orbit-check", "--p", "67", "--colors", "1"]) == 2
+    assert main(["orbit-check", "--p", "67", "--colors", "1"]) == 1
     assert "all congruent: yes" in capsys.readouterr().out
+
+
+def _cover_argv(summands: int, free_rank: int, curves: int) -> list[str]:
+    rng = random.Random(summands + free_rank + curves)
+    form = "+".join(["A25"] * summands)
+    char = f"free:{','.join(['0'] * free_rank)};tors:{','.join(['1/5'] * summands)}"
+    classes = [f"free:{','.join(str(rng.randint(-3, 3)) for _ in range(free_rank))};"
+               f"tors:{','.join(str(rng.randint(0, 24)) for _ in range(summands))}"
+               for _ in range(curves)]
+    return ["cover", "analyze", "--form", form, "--char", char,
+            "--free-rank", str(free_rank), "--curves", *classes]
+
+
+def test_cover_analyze_cap(capsys, monkeypatch):
+    from skeincalc import linkform
+    cap = MAX_COVER_DIM
+    code, out, _ = run(capsys, *_cover_argv(cap, cap, cap))
+    assert code == 0
+    assert out.count("\n") == 6 and "simple on the complement of the given curves" in out
+
+    def refuse(*args):
+        raise AssertionError("span test or curve selection before the cap was checked")
+
+    for name in ("is_simple", "dual_element", "complement_simple", "scc_curves", "scc2_curves"):
+        monkeypatch.setattr(linkform, name, refuse)
+    for sizes, name in (((cap + 1, 0, 0), "summand count"), ((1, cap + 1, 0), "free rank"),
+                        ((1, 0, cap + 1), "curve count")):
+        for fmt in ((), ("--json",)):
+            code, out, err = run(capsys, *_cover_argv(*sizes), *fmt)
+            assert code == 1, sizes
+            assert f"{name}={cap + 1} is above the cap {cap}" in err
+            assert out == ""
 
 
 def test_hopf_n_cap():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from skeincalc import cyclotomic
+from skeincalc import cyclotomic, invariants
 from skeincalc.cyclotomic import (
     PRIME_TEST_LIMIT,
     CycInt,
@@ -19,6 +19,7 @@ from skeincalc.cyclotomic import (
     zero,
 )
 from skeincalc.errors import InvalidPrimeError, ModulusMismatchError, NonIntegralError
+from skeincalc.skein import eta_squared
 
 from oracles import (
     ExactDivisionError,
@@ -29,6 +30,8 @@ from oracles import (
     numeric,
     random_cycint,
     reduce_by_division,
+    valuation_by_cofactor,
+    valuation_cofactor,
     valuation_cofactor_product,
 )
 
@@ -251,11 +254,12 @@ def test_valuation_examples():
 
 
 def test_valuation_cofactor_matches_the_product():
-    # the closed form -sum (k+1) zeta_p**k against prod_{a>=2} (1 - zeta_p**a)
+    # the oracle's closed form -sum (k+1) zeta_p**k against
+    # prod_{a>=2} (1 - zeta_p**a)
     for p in range(3, 32, 2):
         if is_prime(p):
             for N in (p, 2 * p, 4 * p):
-                c = cyclotomic._cofactor(N, p)
+                c = valuation_cofactor(N, p)
                 assert c == valuation_cofactor_product(N, p), (p, N)
                 assert c * (one(N) - root(N, N // p)) == p
 
@@ -268,9 +272,49 @@ def test_valuation_properties():
             if x.is_zero or y.is_zero:
                 continue
             vx, vy = valuation(x, p), valuation(y, p)
+            assert vx == valuation_by_cofactor(x, p)
             assert valuation(x * y, p) >= vx + vy
+            assert valuation(x * y, p) == valuation_by_cofactor(x * y, p)
             assert valuation(x * p, p) == vx + (p - 1)
             assert valuation(x * x, p) == 2 * vx
+
+
+def test_valuation_matches_the_cofactor_oracle():
+    # random elements times planted (1 - zeta_p)**k and powers of p, at every
+    # ring shape; p = 3 keeps the one-coefficient components of N = 6 covered
+    rng = random.Random(12)
+    for p in (3, 5, 7, 11, 13):
+        for N in (p, 2 * p, 4 * p):
+            pi = one(N) - root(N, N // p)
+            for _ in range(12):
+                x = random_cycint(rng, N) * pi ** rng.randint(0, 6) * p ** rng.randint(0, 2)
+                if rng.random() < 0.3:
+                    x = x * root(N, rng.randrange(N))
+                assert valuation(x, p) == valuation_by_cofactor(x, p), (p, N, x)
+    for N, p in ((20, 2), (20, 7), (14, 5)):
+        with pytest.raises(ValueError, match="prime"):
+            valuation(one(N), p)
+
+
+def test_valuation_makes_no_ring_product(monkeypatch):
+    calls = []
+    kernel = cyclotomic.mul_reduce
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    rng = random.Random(13)
+    values = []
+    for p in (3, 5, 7, 13):
+        for N in (2 * p, 4 * p):
+            pi = one(N) - root(N, N // p)
+            values += [(random_cycint(rng, N) * pi ** rng.randint(0, 6), p) for _ in range(5)]
+    b = invariants._surgery_bracket(101)
+    values.append((eta_squared(101) ** 103 * b * b, 101))
+    monkeypatch.setattr(cyclotomic, "mul_reduce", counting)
+    assert [valuation(x, p) for x, p in values][-1] == 2 * 4851
+    assert not calls
 
 
 def test_valuation_of_cycnum():

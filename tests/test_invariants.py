@@ -247,11 +247,13 @@ def test_valuation_past_the_benchmark_primes():
 
 
 def test_valuation_at_p101_makes_few_ring_products(monkeypatch):
-    # every skein element is evaluated and twisted by rotations; the ring
-    # products left are one per weight (its scale), the p-th power, eta^2
-    # and the valuation, 80 in all (330 when the weights and twists were
-    # built by ring products, 9,354 when the decorations were evaluated by
-    # Horner's rule in the z-basis)
+    # the bracket is <omega>**p, one Clenshaw evaluation and a ring power;
+    # the ring products left are that power, eta^2 and its power and the
+    # squaring, 24 in all, and the valuation makes none (80 when the bracket
+    # summed over the points of hopf_points and the valuation multiplied by
+    # the cofactor, 330 when the weights and twists were built by ring
+    # products, 9,354 when the decorations were evaluated by Horner's rule
+    # in the z-basis)
     for module in (skein, invariants):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
@@ -265,7 +267,7 @@ def test_valuation_at_p101_makes_few_ring_products(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "mul_reduce", counting)
     assert cover_invariant_valuation(101) == 4851
-    assert len(calls) <= 90
+    assert len(calls) <= 30
 
 
 def test_valuation_closed_form():
@@ -289,6 +291,13 @@ def test_closed_form_lemmas():
         assert eta_squared(p) * point_eval(om, 1) == 1
         w1 = skein.hopf_points(p)[0][1]
         assert w1 * point_eval(skein.twist(om, -1), 1) == 1
+
+
+def test_surgery_bracket_is_the_point_bracket():
+    # <omega>**p, which both invariants use, against the (p-1)/2-point sum
+    for p in (5, 7, 11, 13, 101):
+        assert invariants._surgery_bracket(p) == \
+            bracket_satellite(HopfSatellite(p, omega(p), omega(p))), p
 
 
 def test_valuation_at_p61_cold():

@@ -19,10 +19,12 @@ def test_no_assert_statements():
 
 def test_pipeline_modules_do_not_divide():
     # nothing in the package divides in the ring: the Galois-adjugate
-    # division and inversion, and the polynomial long division by Phi_N,
-    # are test oracles (tests/oracles.py)
+    # division and inversion, the polynomial long division by Phi_N, and
+    # the valuation's division by 1 - zeta_p through its cofactor in p are
+    # test oracles (tests/oracles.py)
     banned = {"divide_exact", "invert_p_power", "_adjugate",
-              "_poly_divmod", "cyclotomic_polynomial", "_reduction_table"}
+              "_poly_divmod", "cyclotomic_polynomial", "_reduction_table",
+              "_cofactor", "valuation_cofactor", "valuation_by_cofactor"}
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         name = path.name
