@@ -428,15 +428,14 @@ def mod_p(x: CycInt, p: int) -> tuple[int, ...]:
 def valuation(x, p: int):
     """Largest k with x in (1 - zeta_p)**k Z[zeta_N]; math.inf for 0.
 
-    Uses p = unit * (1 - zeta_p)**(p-1) to strip integer factors of p first.
-    Then, with (p, m, s) = _shape(N), w = s * zeta_N**m is a primitive p-th
-    root and Z[zeta_N] is free over Z[w] on zeta_N**r, r < m: coefficient
-    c_(mk+r) is s**k times component r's coefficient of w**k.  As 1 - w is
-    an associate of 1 - zeta_p, x lies in (1 - zeta_p)**k Z[zeta_N] iff
-    every component lies in (1 - w)**k Z[w].  A component divides by 1 - w
-    iff p divides the last prefix sum S_(p-2) of its p - 1 coefficients,
-    and the quotient's coefficients are S_i - (i+1) * S_(p-2)/p.  For a
-    CycNum y/p**j this is valuation(y) - j*(p-1).
+    Strips integer factors of p first, as p = unit * (1 - zeta_p)**(p-1).
+    With (p, m, s) = _shape(N), w = s * zeta_N**m is a primitive p-th root,
+    1 - w an associate of 1 - zeta_p, and Z[zeta_N] is free over Z[w] on
+    zeta_N**r, r < m: c_(mk+r) is s**k times component r's w**k coefficient.
+    So x is in (1 - w)**k Z[zeta_N] iff every component is.  A component
+    divides by 1 - w iff p divides the sum S of its p - 1 coefficients; the
+    quotient's i-th coefficient is the i-th prefix sum minus (i+1) * S/p.
+    For a CycNum y/p**j this is valuation(y) - j*(p-1).
     """
     if isinstance(x, CycNum):
         v = valuation(x.num, p)

@@ -281,7 +281,7 @@ def test_valuation_properties():
 
 def test_valuation_matches_the_cofactor_oracle():
     # random elements times planted (1 - zeta_p)**k and powers of p, at every
-    # ring shape; p = 3 keeps the one-coefficient components of N = 6 covered
+    # ring shape; p = 3 (N = 6) keeps components of two coefficients covered
     rng = random.Random(12)
     for p in (3, 5, 7, 11, 13):
         for N in (p, 2 * p, 4 * p):
