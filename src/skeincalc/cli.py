@@ -19,7 +19,8 @@ from .errors import CalcError, TooLargeError
 # the largest p that valuation and hopf accept: valuation --p 101 takes
 # about 0.15 s end to end on a 2-CPU machine (0.12 s at p = 61)
 MAX_P = 101
-# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 1.5-1.9 s
+# the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 0.1 s end
+# to end on a 2-CPU machine, of which about 0.06 s is interpreter start
 MAX_N = 1000
 # the most rows or columns that homology accepts: a random 60x60 matrix takes
 # about 0.15 s with one-digit entries and about 2.9 s with the 33-digit
@@ -29,9 +30,14 @@ MAX_MATRIX_DIM = 60
 # 4,300-digit limit on converting an int to text
 MAX_FACTOR_DIGITS = 4000
 # the most summands, free rank and curves that cover analyze accepts: its
-# span test eliminates free rank + summand rows and one column per curve,
-# about 1.3 s in process at 40 of each with random 33-digit free coordinates
+# span test eliminates free rank + summand rows and one column per curve
 MAX_COVER_DIM = 40
+# the most decimal digits in a free coordinate of a cover analyze curve, the
+# one integer input not reduced modulo an order: each Euclid round of the span
+# test updates a row of such integers, so at 40 of each dimension random
+# coordinates take about 0.04 s with one digit, 1.4 s with 33 and 1.7 s with
+# 40 in process on a 2-CPU machine, against 2.4 s with 50
+MAX_COORD_DIGITS = 40
 
 
 def _nonneg(text: str) -> int:
@@ -278,6 +284,8 @@ def _cmd_cover_analyze(args) -> int:
     for name, value in (("summand count", len(form.summands)), ("free rank", args.free_rank),
                         ("curve count", len(curves))):
         _check_cap(name, value, MAX_COVER_DIM)
+    longest = max((abs(x) for c in curves for x in c.free), default=0)
+    _check_cap("free coordinate digits", len(str(longest)), MAX_COORD_DIGITS)
     h = linkform.Homology1(args.free_rank, form)
     simple = linkform.is_simple(h, chi)
     dual = linkform.dual_element(form, chi.torsion_values)

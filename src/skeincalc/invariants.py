@@ -7,9 +7,9 @@ which every component is +1-framed and mutually +1-linked, so the bracket
 is the functional L(f) = plane_eval(twist(f, 1)) applied to the product
 twist(zero_decor, -1) * cable**p of the decorations as polynomials in z.
 
-bracket_satellite evaluates L for any decorations as a weighted sum over
-the points of skein.hopf_points.  With omega(p) on every component only the
-point z_1 = delta is left and contributes <omega>**p (README lemmas
+bracket_satellite evaluates L for any decorations at the points z_j with
+the weights of skein.hopf_weights.  With omega(p) on every component only
+the point z_1 = delta is left and contributes <omega>**p (README lemmas
 (a)-(c)), so both invariants take that power and nothing is divided.
 """
 
@@ -22,7 +22,7 @@ import skeincalc
 
 from .cyclotomic import CycNum, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
-from .skein import (SkeinElem, eta, eta_squared, hopf_points, omega, phase_pinned,
+from .skein import (SkeinElem, eta, eta_squared, hopf_weights, omega, phase_pinned,
                     plane_eval, point_eval, twist)
 
 
@@ -48,14 +48,14 @@ def bracket_satellite(sat: HopfSatellite) -> CycNum:
 
     The linear functional L: z^n -> H_n applied to
     twist(zero_decor, -1) * cable_decor**p, evaluated as the sum over the
-    weights w_j of hopf_points(p) of w_j tz(z_j) cable(z_j)**p with
+    weights w_j of hopf_weights(p) of w_j tz(z_j) cable(z_j)**p with
     tz = twist(zero_decor, -1).  A point is skipped only when cable(z_j)
     is zero there.
     """
     p = sat.p
     tz = twist(sat.zero_decor, -1)
     total = CycNum(from_int(ring_modulus(p), 0), p, 0)
-    for j, (_, w) in enumerate(hopf_points(p), 1):
+    for j, w in enumerate(hopf_weights(p), 1):
         c = point_eval(sat.cable_decor, j)
         if not c.is_zero:
             total = total + w * point_eval(tz, j) * c ** p

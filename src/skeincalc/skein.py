@@ -12,11 +12,12 @@ Conventions (all verified by the test suite):
   * the twist acts on e_k by (-1)^k A^(k^2 + 2k);
   * the surgery element is omega(p) = sum of (-1)^k [k+1] e_k.
 
-An element is only ever evaluated at the points z_j = -(A^2j + A^-2j)
-(point_eval, by Clenshaw's recurrence); z_1 = delta gives plane_eval.  Every
-bracket of +1-twisted cables, L(f) = plane_eval(twist(f, 1)), is read off
-the values of f at z_j, j = 1 .. (p-1)/2, with the closed-form weights of
-hopf_points.
+Every sum of powers of A (A**e, delta, [k], eta^2, H_n, the weights) is one
+vector reduced once by _A_sum.  An element is only ever evaluated at the
+points z_j = -(A^2j + A^-2j) (point_eval, by Clenshaw's recurrence); z_1 =
+delta gives plane_eval.  A bracket of +1-twisted cables,
+L(f) = plane_eval(twist(f, 1)), is the sum of w_j f(z_j), j = 1 .. (p-1)/2,
+over the closed-form weights of hopf_weights.
 """
 
 from __future__ import annotations
@@ -28,16 +29,24 @@ from .cyclotomic import CycInt, CycNum, euler_phi, from_int, ring_modulus, root
 from .errors import ModulusMismatchError, UnsupportedPrimeError
 
 
+def _A_sum(p: int, terms) -> CycInt:
+    """Sum of c * A**e over (c, e) in terms: one vector of Z[t]/(t^N - 1), reduced once."""
+    N = ring_modulus(p)
+    v = [0] * N
+    for c, e in terms:
+        v[e * (N // (2 * p)) % N] += c
+    return CycInt.from_poly(N, v)
+
+
 def A_power(p: int, e: int) -> CycInt:
     """A**e where A = zeta_N**(N/2p) is the primitive 2p-th root at p."""
-    N = ring_modulus(p)
-    return root(N, e * (N // (2 * p)))
+    return _A_sum(p, [(1, e)])
 
 
 @lru_cache(maxsize=None)
 def delta(p: int) -> CycInt:
     """Loop value of the bracket: one unknot contributes -A^2 - A^(-2)."""
-    return -(A_power(p, 2) + A_power(p, -2))
+    return _A_sum(p, [(-1, 2), (-1, -2)])
 
 
 @lru_cache(maxsize=None)
@@ -45,12 +54,7 @@ def quantum_int(p: int, k: int) -> CycInt:
     """[k] = (A^2k - A^-2k) / (A^2 - A^-2) = sum over i < k of A^(2(k-1-2i))."""
     if k < 1:
         raise ValueError("quantum integers are defined for k >= 1")
-    # A^2 = zeta_N^(N/p); the powers are reduced into the basis once
-    N = ring_modulus(p)
-    coeffs = [0] * N
-    for i in range(k):
-        coeffs[(k - 1 - 2 * i) * (N // p) % N] += 1
-    return CycInt.from_poly(N, coeffs)
+    return _A_sum(p, [(1, 2 * (k - 1 - 2 * i)) for i in range(k)])
 
 
 def _as_cycnum(p: int, value) -> CycNum:
@@ -159,8 +163,8 @@ def twist(x: SkeinElem, e: int) -> SkeinElem:
 
 
 @lru_cache(maxsize=None)
-def hopf_points(p: int) -> tuple[tuple[CycInt, CycNum], ...]:
-    """The pairs (z_j, w_j), j = 1 .. (p-1)/2, with L(f) = sum of w_j f(z_j).
+def hopf_weights(p: int) -> tuple[CycNum, ...]:
+    """The weights w_j, j = 1 .. (p-1)/2, with L(f) = sum of w_j f(z_j).
 
     L(f) = plane_eval(twist(f, 1)).  A -1-framed omega around the strands
     of f applies one positive full twist to them and scales by
@@ -169,35 +173,31 @@ def hopf_points(p: int) -> tuple[tuple[CycInt, CycNum], ...]:
     e-basis, its e_(j-1) coefficient is [j] A^(1-j^2), and f encircling e_(j-1)
     evaluates to f(z_j) (-1)^(j-1) [j] with z_j = -(A^2j + A^-2j).  So
     w_j = eta^2 plane_eval(twist(omega, 1)) (-1)^(j-1) A^(1-j^2) [j]^2.
-    As [j]^2 = sum over s <= 2j-2 of (min(s, 2j-2-s) + 1) A^(4(j-1-s)) and
-    -1 = A^p, all but the first factor is one vector reduced once.
+    As [j]^2 = sum over |u| < j of (j - |u|) A^(4u) and -1 = A^p, all but
+    the first factor is one sum of powers of A.
     """
     scale = eta_squared(p) * plane_eval(twist(omega(p), 1))
-    N = ring_modulus(p)
-    out = []
-    for j in range(1, (p - 1) // 2 + 1):
-        z = -(A_power(p, 2 * j) + A_power(p, -2 * j))
-        v = [0] * N
-        for s in range(2 * j - 1):
-            e = (j - 1) * p + 1 - j * j + 4 * (j - 1 - s)
-            v[e * (N // (2 * p)) % N] += min(s, 2 * j - 2 - s) + 1
-        out.append((z, scale * CycInt.from_poly(N, v)))
-    return tuple(out)
+    return tuple(scale * _A_sum(p, [(j - abs(u), (j - 1) * p + 1 - j * j + 4 * u)
+                                    for u in range(1 - j, j)])
+                 for j in range(1, (p - 1) // 2 + 1))
 
 
 @lru_cache(maxsize=None)
 def hopf_bracket(p: int, n: int) -> CycInt:
     """Bracket H_n of n Hopf fibers, all framings +1 and pairwise linking +1.
 
-    H_n = L(z^n) = sum of w_j z_j^n over hopf_points(p); the sum is checked
-    to be integral.
+    H_0 = 1 and H_n = sum over r < n of C(n-1, r) A^(s^2-1) [s], s = n-2r+1
+    (Blanchet-Habegger-Masbaum-Vogel, Topology 34, 1995).  Both factors depend
+    only on s mod 2p, so the binomials are summed per class s < 2p into one sum.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = _as_cycnum(p, 0)
-    for z, w in hopf_points(p):
-        total = total + w * z ** n
-    return total.as_integral()
+    c, binomial = [0] * (2 * p), 1
+    for r in range(max(n, 1)):  # at n = 0 the one term, s = 1, is H_0 = 1
+        c[(n - 2 * r + 1) % (2 * p)] += binomial
+        binomial = binomial * (n - 1 - r) // (r + 1)
+    return _A_sum(p, [(c[s], s * s + 2 * s - 3 - 4 * i)
+                      for s in range(2 * p) if c[s] for i in range(s)])
 
 
 _ETA_EXACT = {
@@ -225,15 +225,14 @@ def eta(p: int) -> CycNum:
 
 @lru_cache(maxsize=None)
 def eta_squared(p: int) -> CycNum:
-    """eta^2 = -(A^2 - A^-2)^2 / p, from the sphere-bundle normalization.
+    """eta^2 = -(A^2 - A^-2)^2 / p = (-A^4 + 2 - A^-4) / p.
 
     Zero-surgery on the unknot gives eta^2 * plane_eval(omega) = 1, and
     plane_eval(omega) = sum of [j]^2 over j = 1 .. (p-1)/2.  With q = A^2,
     (q - 1/q)^2 [j]^2 = q^2j + q^-2j - 2, and the exponents +-2j run over
     the nonzero residues mod p once each, so the sum is -p / (A^2 - A^-2)^2.
     """
-    d = A_power(p, 2) - A_power(p, -2)
-    return CycNum(-(d * d), p, 1)
+    return CycNum(_A_sum(p, [(-1, 4), (2, 0), (-1, -4)]), p, 1)
 
 
 def kappa_exponent(p: int) -> int:

@@ -1,10 +1,13 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the production code paths they check.  The
-production brackets evaluate at the points z_j with closed-form weights,
-and the surgery bracket is the one point value <omega>**p; here the Hopf
-bracket is resolved from an explicit diagram crossing by crossing, or
-summed from its binomial closed form with one exact division.
+package sums the Hopf bracket H_n per residue class of s mod 2p as one
+vector, evaluates the general bracket at the points z_j with closed-form
+weights, and takes the surgery bracket as the one point value <omega>**p;
+here H_n is resolved from an explicit diagram crossing by crossing, summed
+as w_j z_j^n over the points with ring powers, or summed from the binomial
+formula with one exact division (the package's own formula, so that check
+covers only the summation per class).
 The package keeps skein elements on the Chebyshev basis e_k and evaluates
 them by Clenshaw's recurrence; here they become polynomials in z (ZPoly),
 built by e_(k+1) = z e_k - e_(k-1) and read back through the ballot-number
@@ -64,7 +67,7 @@ from skeincalc.cyclotomic import (
 from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
 from skeincalc.intlinalg import _clear_leading, _rows, in_span
 from skeincalc.linkform import TorsionElement, _iroot, dual_element
-from skeincalc.skein import A_power, SkeinElem, delta, kappa, kappa_order
+from skeincalc.skein import A_power, SkeinElem, delta, hopf_weights, kappa, kappa_order
 
 
 def poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -251,12 +254,28 @@ def hopf_state_sum(p: int, n: int) -> CycInt:
     return total
 
 
+def hopf_by_points(p: int, n: int) -> CycInt:
+    """H_n = L(z^n) = sum of w_j z_j^n over skein.hopf_weights, checked to be integral.
+
+    z_j = -(A^2j + A^-2j), and z_j^n is a ring power, where the package sums
+    the binomial closed form per residue class of s mod 2p.
+    """
+    total = CycNum(from_int(ring_modulus(p), 0), p, 0)
+    for j, w in enumerate(hopf_weights(p), 1):
+        total = total + w * (-(A_power(p, 2 * j) + A_power(p, -2 * j))) ** n
+    return total.as_integral()
+
+
 @lru_cache(maxsize=None)
 def hopf_binomial(p: int, n: int) -> CycInt:
     """H_n = S_n / (A^2 - A^-2) for n >= 1, with one exact division.
 
     S_n is the sum over r < n of C(n-1, r) A^(s^2-1) (A^2s - A^-2s),
     s = n - 2r + 1, whose terms are A^((s+1)^2-2) and A^((s-1)^2-2).
+    skein.hopf_bracket uses the same formula, divided term by term and
+    summed per class of s mod 2p, so this is not an independent check of
+    the formula, only of that summation; hopf_state_sum and hopf_by_points
+    are the independent ones.
     """
     N = ring_modulus(p)
     if n == 0:

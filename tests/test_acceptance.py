@@ -25,7 +25,7 @@ DISPLAY_P7 = CycInt(14, [7 * 176993, 7 * 397520, -7 * 318640,
 
 def _cold_caches():
     """Clear the computation-level caches so timed criteria start cold."""
-    for fn in (skein.delta, skein.quantum_int, skein.omega, skein.hopf_points,
+    for fn in (skein.delta, skein.quantum_int, skein.omega, skein.hopf_weights,
                skein.hopf_bracket, skein.eta_squared, skein.kappa,
                invariants._surgery_bracket, invariants.cover_invariant_valuation,
                congruence.kappa_residues):

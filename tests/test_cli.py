@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skeincalc.cli import (COMMANDS, MAX_COVER_DIM, MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, main,
-                           parse_args)
+from skeincalc.cli import (COMMANDS, MAX_COORD_DIGITS, MAX_COVER_DIM, MAX_FACTOR_DIGITS,
+                           MAX_MATRIX_DIM, MAX_N, main, parse_args)
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
 
@@ -319,6 +319,30 @@ def test_cover_analyze_cap(capsys, monkeypatch):
             code, out, err = run(capsys, *_cover_argv(*sizes), *fmt)
             assert code == 1, sizes
             assert f"{name}={cap + 1} is above the cap {cap}" in err
+            assert out == ""
+
+
+def test_cover_analyze_digit_cap(capsys, monkeypatch):
+    from skeincalc import linkform
+    cap = MAX_COORD_DIGITS
+
+    def argv(coordinate):
+        return ["cover", "analyze", "--form", "A5", "--char", "free:0,0;tors:1/5",
+                "--free-rank", "2", "--curves", "free:1,0;tors:0", f"free:3,{coordinate};tors:1"]
+
+    code, out, _ = run(capsys, *argv(-(10 ** cap - 1)))
+    assert code == 0 and "simple on the complement of the given curves" in out
+
+    def refuse(*args):
+        raise AssertionError("span test or curve selection before the cap was checked")
+
+    for name in ("is_simple", "dual_element", "complement_simple", "scc_curves", "scc2_curves"):
+        monkeypatch.setattr(linkform, name, refuse)
+    for coordinate in (10 ** cap, -(10 ** cap)):
+        for fmt in ((), ("--json",)):
+            code, out, err = run(capsys, *argv(coordinate), *fmt)
+            assert code == 1, coordinate
+            assert f"free coordinate digits={cap + 1} is above the cap {cap}" in err
             assert out == ""
 
 

@@ -289,7 +289,7 @@ def test_closed_form_lemmas():
         for j in range(2, (p - 1) // 2 + 1):
             assert point_eval(om, j).is_zero, (p, j)
         assert eta_squared(p) * point_eval(om, 1) == 1
-        w1 = skein.hopf_points(p)[0][1]
+        w1 = skein.hopf_weights(p)[0]
         assert w1 * point_eval(skein.twist(om, -1), 1) == 1
 
 
@@ -301,7 +301,7 @@ def test_surgery_bracket_is_the_point_bracket():
 
 
 def test_valuation_at_p61_cold():
-    for fn in (skein.quantum_int, skein.omega, skein.hopf_points,
+    for fn in (skein.quantum_int, skein.omega, skein.hopf_weights,
                skein.eta_squared, cover_invariant_valuation):
         fn.cache_clear()
     t0 = time.perf_counter()

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from skeincalc.cyclotomic import CycInt, CycNum, from_int, ring_modulus, root
+from skeincalc import cyclotomic, skein
+from skeincalc.cyclotomic import CycInt, CycNum, from_int, is_prime, ring_modulus, root
 from skeincalc.errors import UnsupportedPrimeError
 from skeincalc.skein import (
     A_power,
@@ -21,8 +22,8 @@ from skeincalc.skein import (
     twist,
 )
 
-from oracles import (ZPoly, from_z, hopf_binomial, hopf_state_sum, random_skein, skein_from_json,
-                     skein_str, skein_to_json, to_z)
+from oracles import (ZPoly, from_z, hopf_binomial, hopf_by_points, hopf_state_sum, random_skein,
+                     skein_from_json, skein_str, skein_to_json, to_z)
 
 
 def e(p, k):
@@ -160,8 +161,37 @@ def test_hopf_bracket_vs_state_sum_oracle():
             assert hopf_bracket(p, n) == hopf_state_sum(p, n)
 
 
+def test_hopf_bracket_vs_point_oracle():
+    # the closed form against the sum of w_j z_j^n with ring powers, at every
+    # prime the CLI accepts (and p = 3), on both sides of each period 2p
+    for p in range(3, 102, 2):
+        if is_prime(p):
+            for n in sorted({0, 1, 2, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p}):
+                assert hopf_bracket(p, n) == hopf_by_points(p, n), (p, n)
+    for p, n in ((89, 1000), (101, 1000)):
+        assert hopf_bracket(p, n) == hopf_by_points(p, n), (p, n)
+
+
+def test_hopf_bracket_and_eta_squared_make_no_ring_products(monkeypatch):
+    # both are one sum of powers of A; their values are checked by the oracles
+    skein.hopf_bracket.cache_clear()
+    skein.eta_squared.cache_clear()
+    calls = []
+    kernel = cyclotomic.mul_reduce
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(cyclotomic, "mul_reduce", counting)
+    hopf_bracket(101, 1000)
+    eta_squared(101)
+    assert not calls
+
+
 def test_hopf_bracket_vs_binomial_oracle():
-    # the weighted point sum against the binomial sum with one exact division
+    # the closed form against the binomial sum with one exact division; the
+    # two share the formula, so this checks the summation per class mod 2p
     for p in (3, 5, 7, 11, 13):
         for n in range(30):
             assert hopf_bracket(p, n) == hopf_binomial(p, n)
