@@ -33,10 +33,9 @@ MAX_FACTOR_DIGITS = 4000
 # span test eliminates free rank + summand rows and one column per curve
 MAX_COVER_DIM = 40
 # the most decimal digits in a free coordinate of a cover analyze curve, the
-# one integer input not reduced modulo an order: each Euclid round of the span
-# test updates a row of such integers, so at 40 of each dimension random
-# coordinates take about 0.04 s with one digit, 1.4 s with 33 and 1.7 s with
-# 40 in process on a 2-CPU machine, against 2.4 s with 50
+# one integer input not reduced modulo an order; each Euclid round of the span
+# test updates a row of them, and 40 of each dimension with random 40-digit
+# coordinates take about 1.7 s in process on a 2-CPU machine (2.4 s at 50)
 MAX_COORD_DIGITS = 40
 
 
