@@ -16,8 +16,8 @@ from types import SimpleNamespace
 from .cyclotomic import CycInt, euler_phi, is_prime, ring_modulus
 from .errors import CalcError, TooLargeError
 
-# the largest p that valuation and hopf accept: valuation --p 101 takes
-# about 0.15 s end to end on a 2-CPU machine (0.12 s at p = 61)
+# the largest p that valuation, hopf and orbit-check accept: valuation --p 101
+# takes about 0.15 s end to end on a 2-CPU machine (0.12 s at p = 61)
 MAX_P = 101
 # the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 0.1 s end
 # to end on a 2-CPU machine, of which about 0.06 s is interpreter start
@@ -37,11 +37,21 @@ MAX_COVER_DIM = 40
 # test updates a row of them, and 40 of each dimension with random 40-digit
 # coordinates take about 1.7 s in process on a 2-CPU machine (2.4 s at 50)
 MAX_COORD_DIGITS = 40
+# the most congruence.orbit_work units (about 1 us each) that orbit-check
+# accepts: its slowest accepted input, --p 5 --colors 2 --trials 1459, takes
+# about 1.8 s end to end on a 2-CPU machine (--p 3 --colors 48 about 1.5 s)
+MAX_ORBIT_WORK = 1_500_000
 
 
 def _nonneg(text: str) -> int:
     if (n := int(text)) < 0:
         raise ValueError("value must be >= 0")
+    return n
+
+
+def _positive(text: str) -> int:
+    if (n := int(text)) < 1:
+        raise ValueError("value must be >= 1")
     return n
 
 
@@ -56,7 +66,9 @@ def _prime_arg(min_p: int):
 
 def _check_cap(name: str, value: int, cap: int) -> None:
     if value > cap:
-        raise TooLargeError(f"{name}={value} is above the cap {cap} for this command")
+        # a figure may be too long to print: int to text stops at 4,300 digits
+        shown = f"={value}" if value < 10 ** MAX_FACTOR_DIGITS else f">10^{MAX_FACTOR_DIGITS}"
+        raise TooLargeError(f"{name}{shown} is above the cap {cap} for this command")
 
 
 REQUIRED = object()
@@ -277,14 +289,16 @@ def _cmd_cover_analyze(args) -> int:
     try:
         form = linkform.parse_form(args.form)
         chi = linkform.parse_character(args.char, form, args.free_rank, args.order)
+        # digits are counted on the literal, as int() refuses more than 4,300
+        digits = [sum(map(str.isdigit, x)) for c in args.curves
+                  for x in linkform.split_sections(c).get("free", [])]
+        _check_cap("free coordinate digits", max(digits, default=0), MAX_COORD_DIGITS)
         curves = [linkform.parse_curve(c, form, args.free_rank) for c in args.curves]
     except ValueError as exc:
         return _arg_error(str(exc))
     for name, value in (("summand count", len(form.summands)), ("free rank", args.free_rank),
                         ("curve count", len(curves))):
         _check_cap(name, value, MAX_COVER_DIM)
-    longest = max((abs(x) for c in curves for x in c.free), default=0)
-    _check_cap("free coordinate digits", len(str(longest)), MAX_COORD_DIGITS)
     h = linkform.Homology1(args.free_rank, form)
     simple = linkform.is_simple(h, chi)
     dual = linkform.dual_element(form, chi.torsion_values)
@@ -343,11 +357,8 @@ def _cmd_orbit_check(args) -> int:
 
     from . import congruence
     p = args.p
-    cap = congruence.ORBIT_TERM_CAP if args.cap is None else args.cap
-    try:
-        sequences = congruence.orbit_sequence_count(args.colors, p, args.trials, cap)
-    except ValueError as exc:
-        return _arg_error(str(exc))
+    _check_cap("p", p, MAX_P)
+    _check_cap("work", congruence.orbit_work(args.colors, p, args.trials), MAX_ORBIT_WORK)
     N = ring_modulus(p)
     rng = random.Random(args.seed)
     reports = []
@@ -355,7 +366,7 @@ def _cmd_orbit_check(args) -> int:
         weights = [_random_cycint(rng, N) for _ in range(args.colors)]
         values = {rep: _random_cycint(rng, N)
                   for rep in congruence.necklace_orbits(args.colors, p)}
-        reports.append(congruence.orbit_congruence_check(weights, values, p, cap))
+        reports.append(congruence.orbit_congruence_check(weights, values, p))
     all_ok = all(r.congruent for r in reports)
     record = {
         "p": p,
@@ -363,13 +374,13 @@ def _cmd_orbit_check(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "all_congruent": all_ok,
-        "sequences_per_trial": sequences,
+        "sequences_per_trial": args.colors ** p,
         "residue_diffs_zero": [r.congruent for r in reports],
     }
     text = [
         f"orbit-collapse congruence mod {p} with {args.colors} colors, "
         f"{args.trials} trial(s), seed {args.seed}",
-        f"sequences per trial: {sequences}",
+        f"sequences per trial: {args.colors ** p}",
         f"all congruent: {'yes' if all_ok else 'NO (bug)'}",
     ]
     _emit(args, record, text)
@@ -396,11 +407,10 @@ COMMANDS = {
         "--order": (_nonneg, None, "target order k (default: inferred from denominators)"),
         "--curves": (list, [], 'curve literals, e.g. "free:0;tors:5,0"')}),
     "orbit-check": (_cmd_orbit_check, "mod-p orbit-collapse congruence on random ring data", {
-        "--p": (_prime_arg(3), REQUIRED, "odd prime"),
-        "--colors": (int, 2, "number of colors"),
+        "--p": (_prime_arg(3), REQUIRED, f"odd prime, at most {MAX_P}"),
+        "--colors": (_positive, 2, "number of colors"),
         "--seed": (int, 0, "seed of the random ring data"),
-        "--trials": (int, 1, "number of trials"),
-        "--cap": (int, None, "abort if trials * (colors^p + 12) * p^3 exceeds this")}),
+        "--trials": (_positive, 1, "number of trials")}),
 }
 
 

@@ -9,25 +9,20 @@ root of unity zeta_N^t, so its order is N / gcd(t, N), read off t.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .cyclotomic import (
     CycInt,
     CycNum,
+    euler_phi,
     from_int,
     mod_p,
     ring_modulus,
     root,
 )
-from .errors import ModulusMismatchError, TooLargeError
+from .errors import ModulusMismatchError
 from .skein import kappa_order, kappa_root_exponent
-
-# cap on orbit_sequence_count's work; the slowest accepted CLI call (p = 3,
-# 48 colors) takes about 1.5 s on 2 CPUs
-ORBIT_TERM_CAP = 3 * 10 ** 6
-# a trial's own work in sequences: a one-color trial costs as much as 12.0
-# (p = 5) and 12.2 (p = 7) sequences of a 7^5- and a 3^7-sequence trial, 4.6 at p = 3
-ORBIT_TRIAL_SEQUENCES = 12
 
 
 class CongruenceVerdict:
@@ -152,20 +147,18 @@ def necklace_orbits(num_colors: int, p: int):
             yield rep
 
 
-def orbit_sequence_count(colors: int, p: int, trials: int = 1,
-                         cap: int = ORBIT_TERM_CAP) -> int:
-    """colors^p, the sequences per trial, once the work is within cap.
+def orbit_work(colors: int, p: int, trials: int = 1) -> int:
+    """The work of trials orbit checks of colors^p sequences at the prime p,
+    in units of about 1 us on a 2-CPU machine.
 
-    The work is bounded by trials * (colors^p + ORBIT_TRIAL_SEQUENCES) * p^3:
-    a sequence costs at most p ring products in a ring of dimension below 2p.
-    colors^p is not formed when 2^p alone passes the cap.
+    A sequence costs p + 10 units (its rotations and multiset key) and a
+    ring product phi(N)^2 / 6.  A trial makes comb(colors + p - 1, p) * p
+    products for the multisets and 2 * bit_length(p) per color for the
+    p-th powers, and costs 100 units more for its random data.
     """
-    if colors < 1 or trials < 1:
-        raise ValueError("need at least one color and one trial")
-    if (colors > 1 and p >= cap.bit_length()
-            or trials * (colors ** p + ORBIT_TRIAL_SEQUENCES) * p ** 3 > cap):
-        raise TooLargeError(f"{trials} trial(s) of {colors}^{p} sequences exceed the cap {cap}")
-    return colors ** p
+    phi = euler_phi(ring_modulus(p))
+    products = math.comb(colors + p - 1, p) * p + colors * 2 * p.bit_length()
+    return trials * (colors ** p * (p + 10) + products * phi * phi // 6 + 100)
 
 
 class OrbitCheckReport:
@@ -184,8 +177,7 @@ class OrbitCheckReport:
                 f"sequences_checked={self.sequences_checked})")
 
 
-def orbit_congruence_check(weights, orbit_values, p: int,
-                           cap: int = ORBIT_TERM_CAP) -> OrbitCheckReport:
+def orbit_congruence_check(weights, orbit_values, p: int) -> OrbitCheckReport:
     """Verify the mod-p collapse of a shift-invariant sum.
 
     LHS sums (prod of per-position weights) * value over ALL color sequences
@@ -195,7 +187,7 @@ def orbit_congruence_check(weights, orbit_values, p: int,
     Values and weights are either all ints or all CycInt in one ring.
     Non-constant orbits have size p, so LHS = RHS mod p always holds; a
     false verdict indicates a bug in the caller's data or this package.
-    The work is checked against ``cap`` (see orbit_sequence_count).
+    It sets no bound on its work, which orbit_work estimates.
 
     A sequence's weight product depends only on its multiset of colors, so
     the values are summed per multiset (keyed by the sorted sequence) and
@@ -203,8 +195,6 @@ def orbit_congruence_check(weights, orbit_values, p: int,
     """
     weights = list(weights)
     num_colors = len(weights)
-    total = orbit_sequence_count(num_colors, p, cap=cap)
-
     sums = {}
     for seq in itertools.product(range(num_colors), repeat=p):
         key = tuple(sorted(seq))
@@ -220,4 +210,4 @@ def orbit_congruence_check(weights, orbit_values, p: int,
         rhs = rhs + weights[j] ** p * orbit_values[canonical_orbit((j,) * p)]
     diff = lhs - rhs
     congruent = not any(mod_p(diff, p)) if isinstance(diff, CycInt) else diff % p == 0
-    return OrbitCheckReport(lhs, rhs, congruent, total)
+    return OrbitCheckReport(lhs, rhs, congruent, num_colors ** p)

@@ -419,7 +419,7 @@ def format_form(form: WallForm) -> str:
     return "+".join(parts)
 
 
-def _split_sections(text: str) -> dict[str, list[str]]:
+def split_sections(text: str) -> dict[str, list[str]]:
     out = {}
     for section in text.split(";"):
         section = section.strip()
@@ -434,7 +434,7 @@ def _split_sections(text: str) -> dict[str, list[str]]:
 
 def parse_character(text: str, form: WallForm, free_rank: int = 0,
                     order: int | None = None) -> Character:
-    sections = _split_sections(text)
+    sections = split_sections(text)
     unknown = set(sections) - {"free", "tors"}
     if unknown:
         raise ValueError(f"unknown character sections {sorted(unknown)}")
@@ -459,7 +459,7 @@ def parse_character(text: str, form: WallForm, free_rank: int = 0,
 
 
 def parse_curve(text: str, form: WallForm, free_rank: int = 0) -> CurveClass:
-    sections = _split_sections(text)
+    sections = split_sections(text)
     unknown = set(sections) - {"free", "tors"}
     if unknown:
         raise ValueError(f"unknown curve sections {sorted(unknown)}")

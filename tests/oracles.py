@@ -5,9 +5,9 @@ package sums the Hopf bracket H_n per residue class of s mod 2p as one
 vector, evaluates the general bracket at the points z_j with closed-form
 weights, and takes the surgery bracket as the one point value <omega>**p;
 here H_n is resolved from an explicit diagram crossing by crossing, summed
-as w_j z_j^n over the points with ring powers, or summed from the binomial
-formula with one exact division (the package's own formula, so that check
-covers only the summation per class).
+as w_j z_j^n over the points with z_j^n built up factor by factor, or
+summed from the binomial formula with one exact division (the package's own
+formula, so that check covers only the summation per class).
 The package keeps skein elements on the Chebyshev basis e_k and evaluates
 them by Clenshaw's recurrence; here they become polynomials in z (ZPoly),
 built by e_(k+1) = z e_k - e_(k-1) and read back through the ballot-number
@@ -49,6 +49,7 @@ import argparse
 import cmath
 import itertools
 import math
+import operator
 import os
 from functools import lru_cache
 
@@ -254,16 +255,31 @@ def hopf_state_sum(p: int, n: int) -> CycInt:
     return total
 
 
-def hopf_by_points(p: int, n: int) -> CycInt:
-    """H_n = L(z^n) = sum of w_j z_j^n over skein.hopf_weights, checked to be integral.
+def hopf_by_points(p: int, ns) -> list[CycInt]:
+    """H_n = L(z^n) = sum of w_j z_j^n over skein.hopf_weights, for each n of
+    the increasing ns, each checked to be integral.
 
-    z_j = -(A^2j + A^-2j), and z_j^n is a ring power, where the package sums
-    the binomial closed form per residue class of s mod 2p.
+    z_j = -y_j with y_j = x^j + x^-j and x = A^2 of order p, so a power of
+    y_j is a vector over the exponents of x mod p, and multiplying it by y_j
+    adds the vector turned j places either way.  Each term w_j y_j^n is the
+    term of the previous n times y_j to the difference, reduced into the
+    ring, and H_n is (-1)^n times their sum.  The package sums the binomial
+    closed form per residue class of s mod 2p instead.
     """
-    total = CycNum(from_int(ring_modulus(p), 0), p, 0)
-    for j, w in enumerate(hopf_weights(p), 1):
-        total = total + w * (-(A_power(p, 2 * j) + A_power(p, -2 * j))) ** n
-    return total.as_integral()
+    N = ring_modulus(p)
+    terms, done, totals = list(hopf_weights(p)), 0, []
+    for n in ns:
+        for j, term in enumerate(terms, 1):
+            power = [1] + [0] * (p - 1)
+            for _ in range(n - done):
+                power = list(map(operator.add, power[j:] + power[:j], power[-j:] + power[:-j]))
+            poly = [0] * N
+            poly[::N // p] = power  # x^k is zeta_N^(kN/p)
+            # the power first: the ring product skips its zero coefficients
+            terms[j - 1] = CycNum(CycInt.from_poly(N, poly), p) * term
+        done = n
+        totals.append((sum(terms[1:], terms[0]) * (-1) ** n).as_integral())
+    return totals
 
 
 @lru_cache(maxsize=None)
@@ -798,6 +814,16 @@ def _nonneg(text: str) -> int:
     return n
 
 
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if n < 1:
+        raise argparse.ArgumentTypeError("value must be >= 1")
+    return n
+
+
 def argparse_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skeincalc",
@@ -847,10 +873,8 @@ def argparse_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("orbit-check", help="verify the mod-p orbit-collapse "
                                             "congruence on random ring data")
     sp.add_argument("--p", type=_prime_arg(3), required=True)
-    sp.add_argument("--colors", type=int, default=2)
+    sp.add_argument("--colors", type=_positive, default=2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=None,
-                    help="abort if trials * (colors^p + 1) * p^3 exceeds this")
+    sp.add_argument("--trials", type=_positive, default=1)
     add_json_flag(sp)
     return parser

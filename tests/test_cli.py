@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeincalc.cli import (COMMANDS, MAX_COORD_DIGITS, MAX_COVER_DIM, MAX_FACTOR_DIGITS,
-                           MAX_MATRIX_DIM, MAX_N, main, parse_args)
+                           MAX_MATRIX_DIM, MAX_N, MAX_ORBIT_WORK, main, parse_args)
+from skeincalc.congruence import orbit_work
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
 
@@ -182,8 +183,11 @@ def test_cover_analyze_non_surjective_order(capsys):
 
 
 def test_orbit_check_argument_validation(capsys):
-    assert main(["orbit-check", "--p", "5", "--colors", "0"]) == 2
-    assert main(["orbit-check", "--p", "5", "--trials", "0"]) == 2
+    for option in ("--colors", "--trials"):
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit-check", "--p", "5", option, "0"])
+        assert exc.value.code == 2
+        assert f"argument {option}: value must be >= 1" in capsys.readouterr().err
     assert main(["orbit-check", "--p", "11", "--colors", "10"]) == 1  # over cap
     capsys.readouterr()
 
@@ -259,14 +263,21 @@ def run_module(*argv):
 
 
 def test_orbit_check_work_is_refused_before_enumeration():
-    # unrefused, each would enumerate for tens of seconds or without end
-    for argv in (("--p", "1000000007", "--colors", "3"),
-                 ("--p", "1000000000000000003", "--colors", "2"),
-                 ("--p", "3", "--colors", "1", "--trials", "100000000"),
-                 ("--p", "11", "--colors", "3")):
+    # unrefused, each would enumerate for seconds or without end; a work
+    # figure too long to print is named by its size
+    for argv, message in (
+            (("--p", "1000000007", "--colors", "3"), "p=1000000007 is above the cap 101"),
+            (("--p", "1000000000000000003", "--colors", "2"), "p=1000000000000000003 is above"),
+            (("--p", "103", "--colors", "1"), "p=103 is above the cap 101"),
+            (("--p", "3", "--colors", "1", "--trials", "100000000"),
+             f"work={orbit_work(1, 3, 10 ** 8)} is above the cap {MAX_ORBIT_WORK}"),
+            (("--p", "11", "--colors", "3"),
+             f"work={orbit_work(3, 11)} is above the cap {MAX_ORBIT_WORK}"),
+            (("--p", "101", "--colors", "9" * 4000),
+             f"work>10^{MAX_FACTOR_DIGITS} is above the cap {MAX_ORBIT_WORK}")):
         out = run_module("orbit-check", *argv)
         assert out.returncode == 1, argv
-        assert "exceed the cap" in out.stderr
+        assert message in out.stderr, argv
         assert "Traceback" not in out.stderr
 
 
@@ -277,17 +288,36 @@ def test_orbit_check_charges_each_trial_before_enumeration(capsys, monkeypatch):
         raise AssertionError("orbits enumerated before the work cap was checked")
 
     monkeypatch.setattr(congruence, "necklace_orbits", enumerate_orbits)
-    assert main(["orbit-check", "--p", "3", "--colors", "1", "--trials", "55555"]) == 1
-    assert "exceed the cap" in capsys.readouterr().err
-    cap_help = COMMANDS["orbit-check"][2]["--cap"][2]
-    assert f"(colors^p + {congruence.ORBIT_TRIAL_SEQUENCES})" in cap_help
+    most = MAX_ORBIT_WORK // orbit_work(1, 3)
+    for trials in (55555, most + 1):
+        for fmt in ((), ("--json",)):
+            code, out, err = run(capsys, "orbit-check", "--p", "3", "--colors", "1",
+                                 "--trials", str(trials), *fmt)
+            assert code == 1 and out == ""
+            assert (f"work={orbit_work(1, 3, trials)} is above the cap {MAX_ORBIT_WORK} "
+                    "for this command") in err
 
 
 def test_orbit_check_cap_option_raises_the_cap(capsys):
-    # the check of each trial once ignored --cap and refused this with exit 1
-    assert main(["orbit-check", "--p", "67", "--colors", "1", "--cap", str(10 ** 7)]) == 0
-    assert main(["orbit-check", "--p", "67", "--colors", "1"]) == 1
+    # a one-color check at p = 67 fits the one work cap, which no option
+    # raises: --cap is an unknown argument
+    assert main(["orbit-check", "--p", "67", "--colors", "1"]) == 0
     assert "all congruent: yes" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit-check", "--p", "67", "--colors", "1", "--cap", str(10 ** 7)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+def test_orbit_check_accepts_the_benchmark_inputs(capsys):
+    # every (p, colors) the cli_session workload draws, with its largest
+    # trial count, and the largest one-color and p = 3 checks
+    for p, colors, trials in ((3, 2, 2), (3, 3, 2), (5, 2, 2), (5, 3, 2), (7, 2, 2),
+                              (67, 1, 1), (101, 1, 1), (3, 48, 1)):
+        code, out, _ = run(capsys, "orbit-check", "--p", str(p), "--colors", str(colors),
+                           "--trials", str(trials))
+        assert code == 0, (p, colors, trials)
+        assert f"sequences per trial: {colors ** p}\nall congruent: yes\n" in out
 
 
 def _cover_argv(summands: int, free_rank: int, curves: int) -> list[str]:
@@ -338,11 +368,13 @@ def test_cover_analyze_digit_cap(capsys, monkeypatch):
 
     for name in ("is_simple", "dual_element", "complement_simple", "scc_curves", "scc2_curves"):
         monkeypatch.setattr(linkform, name, refuse)
-    for coordinate in (10 ** cap, -(10 ** cap)):
+    # 4,301 digits pass int()'s limit, so digits are counted on the literal
+    for coordinate in (10 ** cap, -(10 ** cap), "9" * 4301):
+        digits = len(str(coordinate).lstrip("-"))
         for fmt in ((), ("--json",)):
             code, out, err = run(capsys, *argv(coordinate), *fmt)
-            assert code == 1, coordinate
-            assert f"free coordinate digits={cap + 1} is above the cap {cap}" in err
+            assert code == 1, digits
+            assert f"free coordinate digits={digits} is above the cap {cap}" in err
             assert out == ""
 
 
@@ -418,6 +450,7 @@ def command_lines(draw):
 @example(["cover", "analyze", "--form", "A5", "--char", "tors:1/0"])
 @example(["hopf", "--p", "5", "--n", "200000"])
 @example(["orbit-check", "--p", "3", "--colors", "1", "--trials", "100000000"])
+@example(["orbit-check", "--p", "3", "--colors", "1000", "--cap", "100000000000000000000"])
 @example(["homology", "--matrix=" + _HUGE_FACTORS])
 def test_cli_fuzz_exits_cleanly(argv):
     # any input ends in exit 0, 1 or 2; an uncaught exception fails the test
@@ -470,7 +503,7 @@ def _parsed(parse, argv):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(parser_argv(), st.booleans())
-@example(["orbit-check", "--p", "5", "--c", "3"], False)  # ambiguous prefix
+@example(["cover", "analyze", "--form", "A5", "--c", "x"], False)  # ambiguous prefix
 @example(["orbit-check", "--p", "5", "--seed", "-5", "--trials=2", "--tr", "1"], True)
 @example(["homology", "--matrix", "-1,0;0,1"], False)  # a literal that starts with '-'
 @example(["cover", "analyze", "--form", "A25", "--char", "tors:1/5", "--curves"], False)

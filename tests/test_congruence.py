@@ -3,9 +3,8 @@ import time
 
 import pytest
 
+from skeincalc.cli import MAX_ORBIT_WORK, main
 from skeincalc.congruence import (
-    ORBIT_TERM_CAP,
-    ORBIT_TRIAL_SEQUENCES,
     canonical_orbit,
     check_kappa_congruence,
     check_kappa_congruence_up_to_phase,
@@ -14,10 +13,10 @@ from skeincalc.congruence import (
     kappa_residues,
     necklace_orbits,
     orbit_congruence_check,
-    orbit_sequence_count,
+    orbit_work,
 )
 from skeincalc.cyclotomic import CycInt, CycNum, from_int, is_prime, mod_p, one, ring_modulus
-from skeincalc.errors import ModulusMismatchError, NonIntegralError, TooLargeError
+from skeincalc.errors import ModulusMismatchError, NonIntegralError
 from skeincalc.invariants import cover_invariant
 from skeincalc.skein import kappa
 
@@ -229,34 +228,35 @@ def test_orbit_check_matches_the_sequence_by_sequence_sum():
     assert verdicts == {True, False}
 
 
-def test_orbit_check_cap():
-    with pytest.raises(TooLargeError):
-        orbit_congruence_check([1] * 10, {}, 11)  # 10^11 sequences
+def test_orbit_check_cap(capsys):
+    # 10^11 sequences: the command line refuses them with the cap message
+    assert orbit_work(10, 11) > MAX_ORBIT_WORK
+    assert main(["orbit-check", "--p", "11", "--colors", "10"]) == 1
+    assert (f"work={orbit_work(10, 11)} is above the cap {MAX_ORBIT_WORK} for this command"
+            in capsys.readouterr().err)
 
 
 def test_orbit_work_cap():
-    # the largest orbit check the benchmark runs: p = 7, 3 colors, 2 trials
-    assert orbit_sequence_count(3, 7, trials=2) == 3 ** 7
-    assert orbit_sequence_count(1, 3, trials=1000) == 1
-    for colors, p, trials in ((3, 11, 1), (1, 3, 10 ** 8), (1, 1000000007, 1),
-                              (2, 1000000000000000003, 1), (10 ** 30, 3, 1)):
-        with pytest.raises(TooLargeError):
-            orbit_sequence_count(colors, p, trials)
-    for colors, trials in ((0, 1), (2, 0), (-1, -1)):
-        with pytest.raises(ValueError):
-            orbit_sequence_count(colors, 5, trials)
+    # the largest orbit check the benchmark runs, p = 7 with 3 colors and 2
+    # trials, and the one-color checks up to p = 101 fit the cap
+    assert orbit_work(3, 7, trials=2) <= MAX_ORBIT_WORK
+    assert orbit_work(1, 101) <= MAX_ORBIT_WORK
+    for colors, p, trials in ((3, 11, 1), (1, 3, 10 ** 8), (2, 101, 1), (10 ** 30, 3, 1)):
+        assert orbit_work(colors, p, trials) > MAX_ORBIT_WORK, (colors, p, trials)
+    # the figure: p + 10 units a sequence, phi(N)^2 / 6 a ring product, 100 a
+    # trial; the products per multiset and for each color's p-th power
+    assert orbit_work(48, 3) == 48 ** 3 * 13 + (19600 * 3 + 48 * 2 * 2) * 2 ** 2 // 6 + 100
+    assert orbit_work(1, 101) == 111 + (101 + 2 * 7) * 200 ** 2 // 6 + 100
+    assert orbit_work(3, 7, trials=2) == 2 * orbit_work(3, 7)
 
 
 def test_orbit_work_charges_each_trial_its_own_cost():
     # 55,555 one-color trials at p = 3 took about 4.3 s when a trial was
-    # charged one sequence; a 48-color trial at p = 3 takes about 1.5 s
-    with pytest.raises(TooLargeError):
-        orbit_sequence_count(1, 3, trials=55555)
-    most = ORBIT_TERM_CAP // ((1 + ORBIT_TRIAL_SEQUENCES) * 3 ** 3)
-    assert orbit_sequence_count(1, 3, trials=most) == 1
-    with pytest.raises(TooLargeError):
-        orbit_sequence_count(1, 3, trials=most + 1)
-    assert orbit_sequence_count(48, 3) == 48 ** 3
+    # charged one sequence; a 48-color trial at p = 3 takes about 1.5 s end to end
+    assert orbit_work(1, 3, trials=55555) > MAX_ORBIT_WORK
+    most = MAX_ORBIT_WORK // orbit_work(1, 3)
+    assert orbit_work(1, 3, trials=most) <= MAX_ORBIT_WORK < orbit_work(1, 3, trials=most + 1)
+    assert orbit_work(48, 3) <= MAX_ORBIT_WORK < orbit_work(49, 3)
 
 
 def test_canonical_orbit():

@@ -59,7 +59,7 @@ def test_each_command_loads_only_its_layers(argv, layers):
 
 
 @pytest.mark.parametrize("argv, code", [(argv, 0) for argv, _ in COMMAND_CASES] + [
-    (["invariant", "--p", "4"], 2), (["orbit-check", "--c", "3"], 2), (["-h"], 0),
+    (["invariant", "--p", "4"], 2), (["cover", "analyze", "--c", "x"], 2), (["-h"], 0),
     (["cover", "analyze", "-h"], 0)],
     ids=COMMAND_IDS + ["bad-value", "ambiguous-option", "help", "command-help"])
 def test_parsing_loads_no_argument_parser(argv, code):
