@@ -1,20 +1,20 @@
 """Command-line driver: every computation as a subcommand, text or JSON out.
 
-Exit codes: 0 success, 1 domain errors (CalcError), 2 argument errors.
-SKEINCALC_FORMAT=json switches the default output format.  Arguments are
-parsed from one option table, COMMANDS, without argparse: a command loads no
-argument-parsing library.  Each handler imports the layers it calls, so a
-command loads only those.
+Exit codes: 0 success (printed by _emit), 1 domain errors and cap overruns
+(CalcError, printed by main), 2 argument errors (printed by _exit with the
+usage line).  The output depends on argv alone; --json selects JSON.
+Arguments are parsed from one option table, COMMANDS, without argparse: a
+command loads no argument-parsing library.  Each handler imports the layers
+it calls, so a command loads only those.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from types import SimpleNamespace
 
 from .cyclotomic import CycInt, euler_phi, is_prime, ring_modulus
-from .errors import CalcError, TooLargeError
+from .errors import CalcError, CharacterDomainError, TooLargeError
 
 # the largest p that valuation, hopf and orbit-check accept: valuation --p 101
 # takes about 0.15 s end to end on a 2-CPU machine (0.12 s at p = 61)
@@ -66,9 +66,7 @@ def _prime_arg(min_p: int):
 
 def _check_cap(name: str, value: int, cap: int) -> None:
     if value > cap:
-        # a figure may be too long to print: int to text stops at 4,300 digits
-        shown = f"={value}" if value < 10 ** MAX_FACTOR_DIGITS else f">10^{MAX_FACTOR_DIGITS}"
-        raise TooLargeError(f"{name}{shown} is above the cap {cap} for this command")
+        raise TooLargeError(f"{name}={value} is above the cap {cap} for this command")
 
 
 REQUIRED = object()
@@ -76,8 +74,7 @@ _HELP = ("-h", "--help")
 
 
 def _options(command: str) -> dict:
-    return {**COMMANDS[command][2], "--json": (
-        bool, os.environ.get("SKEINCALC_FORMAT") == "json", "emit JSON instead of text")}
+    return {**COMMANDS[command][2], "--json": (bool, False, "emit JSON instead of text")}
 
 
 def _choices(words: list[str]) -> dict:
@@ -257,11 +254,6 @@ def _cmd_valuation(args) -> int:
     return 0
 
 
-def _arg_error(message: str) -> int:
-    print(f"skeincalc: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _parse_matrix(text: str) -> list[list[int]]:
     rows = [[int(x) for x in row.split(",")] for row in text.split(";")]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -274,7 +266,7 @@ def _cmd_homology(args) -> int:
     try:
         matrix = _parse_matrix(args.matrix)
     except ValueError as exc:
-        return _arg_error(f"bad matrix literal: {exc}")
+        _exit(["homology"], f"bad matrix literal: {exc}")
     _check_cap("matrix dimension", max(len(matrix), len(matrix[0])), MAX_MATRIX_DIM)
     group = invariants.homology_from_matrix(matrix)
     if group.torsion and group.torsion[-1] >= 10 ** MAX_FACTOR_DIGITS:
@@ -295,7 +287,7 @@ def _cmd_cover_analyze(args) -> int:
         _check_cap("free coordinate digits", max(digits, default=0), MAX_COORD_DIGITS)
         curves = [linkform.parse_curve(c, form, args.free_rank) for c in args.curves]
     except ValueError as exc:
-        return _arg_error(str(exc))
+        _exit(["cover", "analyze"], str(exc))
     for name, value in (("summand count", len(form.summands)), ("free rank", args.free_rank),
                         ("curve count", len(curves))):
         _check_cap(name, value, MAX_COVER_DIM)
@@ -326,7 +318,7 @@ def _cmd_cover_analyze(args) -> int:
     elif chi.order == p * p:
         try:
             picks = linkform.scc2_curves(h, chi)
-        except CalcError:
+        except CharacterDomainError:
             picks = None
             text.append("character is not onto Z_(p^2); no curve selection")
             record["curves_selected"] = None
@@ -358,6 +350,10 @@ def _cmd_orbit_check(args) -> int:
     from . import congruence
     p = args.p
     _check_cap("p", p, MAX_P)
+    # a sequence costs at least 1 unit and a trial 100, so these refuse only
+    # what the work figure would, and bound that figure before it is formed
+    _check_cap("colors", args.colors, MAX_ORBIT_WORK)
+    _check_cap("trials", args.trials, MAX_ORBIT_WORK)
     _check_cap("work", congruence.orbit_work(args.colors, p, args.trials), MAX_ORBIT_WORK)
     N = ring_modulus(p)
     rng = random.Random(args.seed)

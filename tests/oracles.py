@@ -50,7 +50,6 @@ import cmath
 import itertools
 import math
 import operator
-import os
 from functools import lru_cache
 
 from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, canonical_orbit
@@ -831,9 +830,7 @@ def argparse_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_json_flag(sp):
-        sp.add_argument("--json", action="store_true",
-                        default=os.environ.get("SKEINCALC_FORMAT") == "json",
-                        help="emit JSON instead of text")
+        sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     sp = sub.add_parser("invariant", help="invariant of the surgered cover, residue "
                                           "verdict and valuation (p = 5 or 7)")

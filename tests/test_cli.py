@@ -31,6 +31,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def argument_error(capsys, *argv):
+    """The usage line and the error line of a call that must exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, ""), argv
+    usage, error = captured.err.splitlines()
+    return usage, error
+
+
 def test_stdout_is_byte_identical_to_every_pin(capsys):
     pins = json.loads(CLI_PINS.read_text(encoding="utf-8"))["cli"]
     assert "invariant --p 5" in pins and "invariant --p 7 --json" in pins
@@ -141,11 +151,19 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_malformed_literals_exit_code(capsys):
-    assert main(["homology", "--matrix", "1,2;3"]) == 2
-    assert main(["cover", "analyze", "--form", "A24", "--char", "tors:0"]) == 2
-    assert main(["cover", "analyze", "--form", "A25", "--char", "tors:1/5,0"]) == 2
-    assert main(["cover", "analyze", "--form", "A5", "--char", "tors:1/0"]) == 2
-    assert "zero denominator" in capsys.readouterr().err
+    # a literal the handler cannot read is reported like any argument error
+    for command, options, message in (
+            ("homology", ["--matrix", "1,2;3"],
+             "bad matrix literal: matrix rows have unequal lengths in '1,2;3'"),
+            ("cover analyze", ["--form", "A24", "--char", "tors:0"],
+             "summand order must be a prime power"),
+            ("cover analyze", ["--form", "A25", "--char", "tors:1/5,0"],
+             "expected 1 torsion values, got 2"),
+            ("cover analyze", ["--form", "A5", "--char", "tors:1/0"],
+             "zero denominator in the character literal 'tors:1/0'")):
+        usage, error = argument_error(capsys, *command.split(), *options)
+        assert usage.startswith(f"usage: skeincalc {command} [-h] "), options
+        assert error == f"skeincalc {command}: error: {message}"
 
 
 def test_deterministic_output(capsys):
@@ -158,10 +176,19 @@ def test_deterministic_output(capsys):
 
 
 def test_format_env_variable(capsys, monkeypatch):
+    # the output is read from argv alone: the variable once switched to JSON
     monkeypatch.setenv("SKEINCALC_FORMAT", "json")
     code, out, _ = run(capsys, "homology", "--matrix", "1,0;0,1")
-    assert code == 0
-    assert json.loads(out)["homology"] == {"free_rank": 0, "torsion": []}
+    assert (code, out) == (0, "0\n")
+
+
+def test_format_env_variable_is_ignored_by_the_module():
+    key = "invariant --p 5"
+    want = json.loads(CLI_PINS.read_text(encoding="utf-8"))["cli"][key]
+    out = subprocess.run([sys.executable, "-m", "skeincalc", *key.split(" ")],
+                         capture_output=True, text=True, timeout=10,
+                         env={**os.environ, "SKEINCALC_FORMAT": "json"})
+    assert (out.returncode, out.stdout) == (0, want)
 
 
 def test_module_entry_point_subprocess():
@@ -180,6 +207,21 @@ def test_cover_analyze_non_surjective_order(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["curves_selected"] is None
+
+
+def test_cover_analyze_reports_a_failed_cross_check(capsys, monkeypatch):
+    # only a character that is not onto is reported as such; a failed
+    # internal check of the curve selection is a domain error
+    from skeincalc import linkform
+    from skeincalc.errors import InconsistencyError
+
+    def select(*args):
+        raise InconsistencyError("selection cross-check failed")
+
+    monkeypatch.setattr(linkform, "_select", select)
+    code, out, err = run(capsys, "cover", "analyze", "--form", "A25", "--char", "tors:1/25")
+    assert (code, out) == (1, "")
+    assert err == "skeincalc: selection cross-check failed\n"
 
 
 def test_orbit_check_argument_validation(capsys):
@@ -250,8 +292,10 @@ def test_homology_matrix_with_leading_minus(capsys):
 def test_explicit_double_dash_is_a_value(capsys):
     # argparse dropped an explicit '--' value, so homology --matrix=-- reached
     # the handler as [] and ended in a traceback
-    assert main(["homology", "--matrix=--"]) == 2
-    assert "bad matrix literal" in capsys.readouterr().err
+    usage, error = argument_error(capsys, "homology", "--matrix=--")
+    assert usage.startswith("usage: skeincalc homology [-h] ")
+    assert error == ("skeincalc homology: error: bad matrix literal: "
+                     "invalid literal for int() with base 10: '--'")
     with pytest.raises(SystemExit) as exc:
         main(["hopf", "--p=--", "--n", "1"])
     assert exc.value.code == 2
@@ -263,22 +307,37 @@ def run_module(*argv):
 
 
 def test_orbit_check_work_is_refused_before_enumeration():
-    # unrefused, each would enumerate for seconds or without end; a work
-    # figure too long to print is named by its size
+    # unrefused, each would enumerate for seconds or without end; colors and
+    # trials are capped before the work figure is formed
     for argv, message in (
             (("--p", "1000000007", "--colors", "3"), "p=1000000007 is above the cap 101"),
             (("--p", "1000000000000000003", "--colors", "2"), "p=1000000000000000003 is above"),
             (("--p", "103", "--colors", "1"), "p=103 is above the cap 101"),
             (("--p", "3", "--colors", "1", "--trials", "100000000"),
-             f"work={orbit_work(1, 3, 10 ** 8)} is above the cap {MAX_ORBIT_WORK}"),
+             f"trials=100000000 is above the cap {MAX_ORBIT_WORK}"),
             (("--p", "11", "--colors", "3"),
              f"work={orbit_work(3, 11)} is above the cap {MAX_ORBIT_WORK}"),
             (("--p", "101", "--colors", "9" * 4000),
-             f"work>10^{MAX_FACTOR_DIGITS} is above the cap {MAX_ORBIT_WORK}")):
+             f"colors={'9' * 4000} is above the cap {MAX_ORBIT_WORK}")):
         out = run_module("orbit-check", *argv)
         assert out.returncode == 1, argv
         assert message in out.stderr, argv
         assert "Traceback" not in out.stderr
+
+
+def test_orbit_check_caps_colors_and_trials_before_the_work_figure(capsys, monkeypatch):
+    from skeincalc import congruence
+
+    def work(*args):
+        raise AssertionError("work figure formed before colors and trials were capped")
+
+    monkeypatch.setattr(congruence, "orbit_work", work)
+    value = MAX_ORBIT_WORK + 1
+    for option in ("--colors", "--trials"):
+        code, out, err = run(capsys, "orbit-check", "--p", "3", option, str(value))
+        assert (code, out) == (1, "")
+        assert err == (f"skeincalc: {option[2:]}={value} is above the cap {MAX_ORBIT_WORK} "
+                       "for this command\n")
 
 
 def test_orbit_check_charges_each_trial_before_enumeration(capsys, monkeypatch):
@@ -452,6 +511,7 @@ def command_lines(draw):
 @example(["orbit-check", "--p", "3", "--colors", "1", "--trials", "100000000"])
 @example(["orbit-check", "--p", "3", "--colors", "1000", "--cap", "100000000000000000000"])
 @example(["homology", "--matrix=" + _HUGE_FACTORS])
+@example(["orbit-check", "--p", "101", "--colors", "9" * 4299])
 def test_cli_fuzz_exits_cleanly(argv):
     # any input ends in exit 0, 1 or 2; an uncaught exception fails the test
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -509,6 +569,7 @@ def _parsed(parse, argv):
 @example(["cover", "analyze", "--form", "A25", "--char", "tors:1/5", "--curves"], False)
 @example(["-h", "no-such-command"], False)
 def test_parser_matches_argparse(argv, json_env):
+    # neither parser reads the variable, so both give --json False without the flag
     env = {"SKEINCALC_FORMAT": "json" if json_env else "text"}
     with mock.patch.dict(os.environ, env):
         want = _parsed(argparse_parser().parse_args, argv)

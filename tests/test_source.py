@@ -17,14 +17,9 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_pipeline_modules_do_not_divide():
-    # nothing in the package divides in the ring: the Galois-adjugate
-    # division and inversion, the polynomial long division by Phi_N, and
-    # the valuation's division by 1 - zeta_p through its cofactor in p are
-    # test oracles (tests/oracles.py)
-    banned = {"divide_exact", "invert_p_power", "_adjugate",
-              "_poly_divmod", "cyclotomic_polynomial", "_reduction_table",
-              "_cofactor", "valuation_cofactor", "valuation_by_cofactor"}
+def _banned_names(banned):
+    """Where a definition, import, attribute, name or string constant of the
+    package is named in banned."""
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         name = path.name
@@ -43,7 +38,25 @@ def test_pipeline_modules_do_not_divide():
                 continue
             found += [f"{name}:{node.lineno}: {n}" for n in names if n in banned]
     assert SOURCE.is_dir()
+    return found
+
+
+def test_pipeline_modules_do_not_divide():
+    # nothing in the package divides in the ring: the Galois-adjugate
+    # division and inversion, the polynomial long division by Phi_N, and
+    # the valuation's division by 1 - zeta_p through its cofactor in p are
+    # test oracles (tests/oracles.py)
+    found = _banned_names({"divide_exact", "invert_p_power", "_adjugate",
+                           "_poly_divmod", "cyclotomic_polynomial", "_reduction_table",
+                           "_cofactor", "valuation_cofactor", "valuation_by_cofactor"})
     assert not found, f"division in the package: {found}"
+
+
+def test_package_reads_no_environment():
+    # identical command lines print identical output: no module reads
+    # os.environ or os.getenv, so no variable can change what a call prints
+    found = _banned_names({"environ", "environb", "getenv", "getenvb"})
+    assert not found, f"environment reads in the package: {found}"
 
 
 def test_no_argument_parsing_library():
