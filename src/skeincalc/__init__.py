@@ -15,6 +15,7 @@ import importlib
 from .cyclotomic import (
     CycInt,
     CycNum,
+    cm_bound,
     mod_p,
     ring_modulus,
     root,
@@ -30,8 +31,8 @@ _LAZY = {
     "invariants": ("AbelianGroup", "HopfSatellite", "bracket_satellite",
                    "cover_invariant", "cover_invariant_valuation",
                    "homology_from_matrix", "linking_matrix"),
-    "congruence": ("CongruenceVerdict", "check_kappa_congruence", "cm_bound",
-                   "kappa_order", "kappa_residues", "orbit_congruence_check"),
+    "congruence": ("CongruenceVerdict", "check_kappa_congruence", "kappa_order",
+                   "kappa_residues", "orbit_congruence_check"),
     "linkform": ("Character", "CurveClass", "Homology1", "TorsionElement",
                  "WallForm", "complement_simple", "dual_element", "is_simple",
                  "pair", "scc2_curves", "scc_curves"),
@@ -40,7 +41,7 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 _SUBMODULES = (*_LAZY, "intlinalg")
 
 __all__ = [
-    "CycInt", "CycNum", "mod_p", "ring_modulus", "root",
+    "CycInt", "CycNum", "cm_bound", "mod_p", "ring_modulus", "root",
     "valuation", *_HOME,
 ]
 

@@ -4,17 +4,20 @@ Exit codes: 0 success (printed by _emit), 1 domain errors and cap overruns
 (CalcError, printed by main), 2 argument errors (printed by _exit with the
 usage line).  The output depends on argv alone; --json selects JSON.
 Arguments are parsed from one option table, COMMANDS, without argparse: a
-command loads no argument-parsing library.  Each handler imports the layers
-it calls, so a command loads only those.
+command loads no argument-parsing library.  Each command's handler is the
+run function of its own module in skeincalc.commands, imported after the
+arguments parse; it imports the layers it calls, so a call compiles only
+its own handler and those layers.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
 from types import SimpleNamespace
 
-from .cyclotomic import CycInt, euler_phi, is_prime, ring_modulus
-from .errors import CalcError, CharacterDomainError, TooLargeError
+from .cyclotomic import is_prime
+from .errors import CalcError, TooLargeError
 
 # the largest p that valuation, hopf and orbit-check accept: valuation --p 101
 # takes about 0.15 s end to end on a 2-CPU machine (0.12 s at p = 61)
@@ -23,9 +26,13 @@ MAX_P = 101
 # to end on a 2-CPU machine, of which about 0.06 s is interpreter start
 MAX_N = 1000
 # the most rows or columns that homology accepts: a random 60x60 matrix takes
-# about 0.15 s with one-digit entries and about 2.9 s with the 33-digit
-# entries that fill a 128 KiB argument
+# about 0.08 s end to end with one-digit entries, 1.1 s with 25-digit entries
+# and 1.6 s with the 33-digit entries that fill a 128 KiB argument, on a
+# 2-CPU machine where python -c pass takes 0.03 s
 MAX_MATRIX_DIM = 60
+# the most decimal digits in a homology matrix entry, counted on the literal;
+# each Euclid round of the elimination updates a row of such integers
+MAX_ENTRY_DIGITS = 25
 # the most digits homology prints in one invariant factor, below Python's
 # 4,300-digit limit on converting an int to text
 MAX_FACTOR_DIGITS = 4000
@@ -185,224 +192,26 @@ def _emit(args, record: dict, text_lines) -> None:
             print(line)
 
 
-def _cmd_invariant(args) -> int:
-    from . import congruence, invariants, skein
-    p = args.p
-    value = invariants.cover_invariant(p)
-    verdict = congruence.check_kappa_congruence(value, p)
-    v = invariants.cover_invariant_valuation(p)
-    hom = invariants.homology_from_matrix(invariants.linking_matrix(p))
-    record = {
-        "p": p,
-        "value": value.to_json(),
-        **verdict.to_json(),
-        # kappa permutes the residues, so the up-to-phase verdict is the strict one
-        "congruent_up_to_phase": verdict.congruent,
-        "valuation": v,
-        "homology": hom.to_json(),
-        "phase_pinned": skein.phase_pinned(p),
-    }
-    if verdict.congruent:
-        m, n = verdict.witness
-        verdict_line = (f"congruent to κ^m·n mod {p} "
-                        f"(witness m={m}, n={n}; {verdict.candidates_checked} candidates)")
-    else:
-        verdict_line = (f"NOT congruent to κ^m·n mod {p} "
-                        f"(checked {verdict.candidates_checked} candidates)")
-    text = [
-        f"prime p: {p}   ring: Z[ζ{ring_modulus(p)}]",
-        f"invariant: {value}",
-        f"verdict: {verdict_line}",
-        f"valuation at (1-ζ_{p}): {v}",
-        f"base homology: {hom}",
-    ]
-    _emit(args, record, text)
-    return 0
-
-
-def _cmd_hopf(args) -> int:
-    from . import skein
-    _check_cap("p", args.p, MAX_P)
-    _check_cap("n", args.n, MAX_N)
-    value = skein.hopf_bracket(args.p, args.n)
-    record = {"p": args.p, "n": args.n, "value": value.to_json()}
-    _emit(args, record, [f"H_{args.n} at p={args.p}: {value}"])
-    return 0
-
-
-def _cmd_valuation(args) -> int:
-    from . import congruence, invariants, skein
-    p = args.p
-    _check_cap("p", p, MAX_P)
-    v = invariants.cover_invariant_valuation(p)
-    bound = congruence.cm_bound(p)
-    record = {
-        "p": p,
-        "valuation": v,
-        "cm_bound": bound,
-        "p_minus_1": p - 1,
-        "in_p_ideal": v >= p - 1,
-        "phase_pinned": skein.phase_pinned(p),
-    }
-    text = [
-        f"prime p: {p}",
-        f"valuation of the cover invariant at (1-ζ_{p}): {v}",
-        f"quadratic bound: {bound}   p-1: {p - 1}",
-        f"lies in p·O_p: {'yes' if v >= p - 1 else 'no'}",
-    ]
-    _emit(args, record, text)
-    return 0
-
-
-def _parse_matrix(text: str) -> list[list[int]]:
-    rows = [[int(x) for x in row.split(",")] for row in text.split(";")]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError(f"matrix rows have unequal lengths in {text!r}")
-    return rows
-
-
-def _cmd_homology(args) -> int:
-    from . import invariants
-    try:
-        matrix = _parse_matrix(args.matrix)
-    except ValueError as exc:
-        _exit(["homology"], f"bad matrix literal: {exc}")
-    _check_cap("matrix dimension", max(len(matrix), len(matrix[0])), MAX_MATRIX_DIM)
-    group = invariants.homology_from_matrix(matrix)
-    if group.torsion and group.torsion[-1] >= 10 ** MAX_FACTOR_DIGITS:
-        raise TooLargeError(f"an invariant factor has more than {MAX_FACTOR_DIGITS} digits")
-    record = {"matrix": args.matrix, "homology": group.to_json()}
-    _emit(args, record, [str(group)])
-    return 0
-
-
-def _cmd_cover_analyze(args) -> int:
-    from . import linkform
-    try:
-        form = linkform.parse_form(args.form)
-        chi = linkform.parse_character(args.char, form, args.free_rank, args.order)
-        # digits are counted on the literal, as int() refuses more than 4,300
-        digits = [sum(map(str.isdigit, x)) for c in args.curves
-                  for x in linkform.split_sections(c).get("free", [])]
-        _check_cap("free coordinate digits", max(digits, default=0), MAX_COORD_DIGITS)
-        curves = [linkform.parse_curve(c, form, args.free_rank) for c in args.curves]
-    except ValueError as exc:
-        _exit(["cover", "analyze"], str(exc))
-    for name, value in (("summand count", len(form.summands)), ("free rank", args.free_rank),
-                        ("curve count", len(curves))):
-        _check_cap(name, value, MAX_COVER_DIM)
-    h = linkform.Homology1(args.free_rank, form)
-    simple = linkform.is_simple(h, chi)
-    dual = linkform.dual_element(form, chi.torsion_values)
-    record = {
-        "form": linkform.format_form(form),
-        "p": form.p,
-        "order": chi.order,
-        "simple": simple,
-        "bockstein_dual": list(dual.values),
-    }
-    text = [
-        f"form: {linkform.format_form(form)}   target: Z_{chi.order}",
-        f"bockstein dual: {list(dual.values)}",
-        f"simple cover: {'yes' if simple else 'no'}",
-    ]
-    p = form.p
-    if chi.order == p and not chi.is_zero:
-        picks = linkform.scc_curves(h, chi)
-        record["curves_selected"] = [
-            {"summand": c.summand, "element": list(c.element.values),
-             "pairing": str(c.pairing)} for c in picks]
-        text.append("selected curves (summand, class, pairing): "
-                    + "; ".join(f"({c.summand}, {list(c.element.values)}, {c.pairing})"
-                                for c in picks))
-    elif chi.order == p * p:
-        try:
-            picks = linkform.scc2_curves(h, chi)
-        except CharacterDomainError:
-            picks = None
-            text.append("character is not onto Z_(p^2); no curve selection")
-            record["curves_selected"] = None
-        if picks is not None:
-            record["curves_selected"] = [
-                {"summand": c.summand, "element": list(c.element.values),
-                 "chi_value": c.chi_value} for c in picks]
-            text.append("selected curves (summand, class, chi value): "
-                        + "; ".join(f"({c.summand}, {list(c.element.values)}, {c.chi_value})"
-                                    for c in picks))
-    if curves:
-        ok = linkform.complement_simple(h, chi, curves)
-        values = [str(chi.evaluate(c)) for c in curves]
-        record["complement_simple"] = ok
-        record["chi_on_curves"] = values
-        text.append(f"simple on the complement of the given curves: {'yes' if ok else 'no'}")
-        text.append(f"chi on the given curves: {', '.join(values)}")
-    _emit(args, record, text)
-    return 0
-
-
-def _random_cycint(rng, N: int) -> CycInt:
-    return CycInt(N, [rng.randint(-3, 3) for _ in range(euler_phi(N))])
-
-
-def _cmd_orbit_check(args) -> int:
-    import random
-
-    from . import congruence
-    p = args.p
-    _check_cap("p", p, MAX_P)
-    # a sequence costs at least 1 unit and a trial 100, so these refuse only
-    # what the work figure would, and bound that figure before it is formed
-    _check_cap("colors", args.colors, MAX_ORBIT_WORK)
-    _check_cap("trials", args.trials, MAX_ORBIT_WORK)
-    _check_cap("work", congruence.orbit_work(args.colors, p, args.trials), MAX_ORBIT_WORK)
-    N = ring_modulus(p)
-    rng = random.Random(args.seed)
-    reports = []
-    for _ in range(args.trials):
-        weights = [_random_cycint(rng, N) for _ in range(args.colors)]
-        values = {rep: _random_cycint(rng, N)
-                  for rep in congruence.necklace_orbits(args.colors, p)}
-        reports.append(congruence.orbit_congruence_check(weights, values, p))
-    all_ok = all(r.congruent for r in reports)
-    record = {
-        "p": p,
-        "colors": args.colors,
-        "seed": args.seed,
-        "trials": args.trials,
-        "all_congruent": all_ok,
-        "sequences_per_trial": args.colors ** p,
-        "residue_diffs_zero": [r.congruent for r in reports],
-    }
-    text = [
-        f"orbit-collapse congruence mod {p} with {args.colors} colors, "
-        f"{args.trials} trial(s), seed {args.seed}",
-        f"sequences per trial: {args.colors ** p}",
-        f"all congruent: {'yes' if all_ok else 'NO (bug)'}",
-    ]
-    _emit(args, record, text)
-    return 0 if all_ok else 1
-
-
-# command -> (handler, help, {option: (type, default or REQUIRED, help)}).
+# command -> (handler module in skeincalc.commands, help, {option: (type, default or REQUIRED, help)}).
 # The type converts one value, but bool marks a flag and list zero or more
 # literals.  Every command also takes -h and --json.
 COMMANDS = {
-    "invariant": (_cmd_invariant, "cover invariant, residue verdict and valuation (p = 5, 7)",
+    "invariant": ("invariant", "cover invariant, residue verdict and valuation (p = 5, 7)",
                   {"--p": (_prime_arg(5), REQUIRED, "5 or 7")}),
-    "hopf": (_cmd_hopf, "bracket of n +1-framed Hopf fibers", {
+    "hopf": ("hopf", "bracket of n +1-framed Hopf fibers", {
         "--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}"),
         "--n": (_nonneg, REQUIRED, f"number of fibers, at most {MAX_N}")}),
-    "valuation": (_cmd_valuation, "(1-zeta_p)-adic valuation of the cover invariant vs bounds",
+    "valuation": ("valuation", "(1-zeta_p)-adic valuation of the cover invariant vs bounds",
                   {"--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}")}),
-    "homology": (_cmd_homology, "cokernel of an integer matrix", {"--matrix": (str, REQUIRED, (
+    "homology": ("homology", "cokernel of an integer matrix", {"--matrix": (str, REQUIRED, (
         "rows split by ';', entries by ','; --matrix=-1,0;0,1 if it starts with '-'"))}),
-    "cover analyze": (_cmd_cover_analyze, "linking-form cover analysis of a character", {
+    "cover analyze": ("cover_analyze", "linking-form cover analysis of a character", {
         "--form": (str, REQUIRED, 'Wall form literal, e.g. "A25+B5[2]"'),
         "--char": (str, REQUIRED, 'character literal, e.g. "free:0;tors:1/5,0"'),
         "--free-rank": (_nonneg, 0, "rank of the free part"),
         "--order": (_nonneg, None, "target order k (default: inferred from denominators)"),
         "--curves": (list, [], 'curve literals, e.g. "free:0;tors:5,0"')}),
-    "orbit-check": (_cmd_orbit_check, "mod-p orbit-collapse congruence on random ring data", {
+    "orbit-check": ("orbit_check", "mod-p orbit-collapse congruence on random ring data", {
         "--p": (_prime_arg(3), REQUIRED, f"odd prime, at most {MAX_P}"),
         "--colors": (_positive, 2, "number of colors"),
         "--seed": (int, 0, "seed of the random ring data"),
@@ -412,8 +221,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    handler = importlib.import_module(f".commands.{COMMANDS[args.command][0]}", __package__)
     try:
-        return COMMANDS[args.command][0](args)
+        return handler.run(args)
     except CalcError as exc:
         print(f"skeincalc: {exc}", file=sys.stderr)
         return 1

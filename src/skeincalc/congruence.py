@@ -1,5 +1,6 @@
 """Residue tests modulo p·O_p: the table of n*kappa^m by line, membership
-verdicts, the quadratic valuation bound, and the shift-orbit collapse congruence.
+verdicts, the quadratic valuation bound (defined in cyclotomic), and the
+shift-orbit collapse congruence.
 
 All verdicts are exact: residues are coefficient vectors in O_p / p·O_p,
 which is well defined because the ring has a power basis.  kappa is the
@@ -12,9 +13,11 @@ import itertools
 import math
 from functools import lru_cache
 
-from .cyclotomic import (
+# cm_bound is defined next to valuation, the quantity it bounds, and read from here too
+from .cyclotomic import (  # noqa: F401
     CycInt,
     CycNum,
+    cm_bound,
     euler_phi,
     from_int,
     mod_p,
@@ -121,14 +124,6 @@ def check_kappa_congruence_up_to_phase(x, p: int) -> CongruenceVerdict:
     if not verdict.congruent:
         verdict.candidates_checked *= kappa_order(p)
     return verdict
-
-
-def cm_bound(p: int) -> int:
-    """ceil((p^2 - 7p + 12)/6): the quadratic valuation bound at (1 - zeta_p)."""
-    if p < 5:
-        raise ValueError("the bound is stated for p >= 5")
-    num = p * p - 7 * p + 12
-    return -(-num // 6)
 
 
 def canonical_orbit(seq) -> tuple:

@@ -459,3 +459,11 @@ def valuation(x, p: int):
                 return v
             parts[r] = [a - i * t for i, a in enumerate(sums, 1)]
         v += 1
+
+
+def cm_bound(p: int) -> int:
+    """ceil((p^2 - 7p + 12)/6): the quadratic valuation bound at (1 - zeta_p)."""
+    if p < 5:
+        raise ValueError("the bound is stated for p >= 5")
+    num = p * p - 7 * p + 12
+    return -(-num // 6)

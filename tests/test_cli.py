@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skeincalc.cli import (COMMANDS, MAX_COORD_DIGITS, MAX_COVER_DIM, MAX_FACTOR_DIGITS,
-                           MAX_MATRIX_DIM, MAX_N, MAX_ORBIT_WORK, main, parse_args)
+from skeincalc.cli import (COMMANDS, MAX_COORD_DIGITS, MAX_COVER_DIM, MAX_ENTRY_DIGITS,
+                           MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, MAX_ORBIT_WORK, main,
+                           parse_args)
 from skeincalc.congruence import orbit_work
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
@@ -453,19 +454,50 @@ def test_homology_caps():
     rng = random.Random(100)
     rows = [[rng.randint(-9, 9) for _ in range(100)] for _ in range(100)]
     # without the caps, the 100x100 matrix runs for seconds to minutes and
-    # the 4,001-digit factors end in a traceback from str(int)
+    # the 4,001-digit factors end in a traceback from str(int); their entries
+    # are refused by the entry digit cap before any elimination
     for literal, message in (
             (";".join(",".join(map(str, row)) for row in rows),
              f"matrix dimension=100 is above the cap {MAX_MATRIX_DIM}"),
             (";".join(["1"] * (MAX_MATRIX_DIM + 1)),
              f"matrix dimension={MAX_MATRIX_DIM + 1} is above the cap"),
-            (_HUGE_FACTORS, f"more than {MAX_FACTOR_DIGITS} digits")):
+            (_HUGE_FACTORS, f"matrix entry digits=4001 is above the cap {MAX_ENTRY_DIGITS}")):
         for fmt in ((), ("--json",)):
             out = run_module("homology", f"--matrix={literal}", *fmt)
             assert out.returncode == 1, literal[:40]
             assert message in out.stderr
             assert "Traceback" not in out.stderr
             assert out.stdout == ""
+
+
+def test_homology_factor_cap_behind_the_entry_cap(capsys, monkeypatch):
+    # the factor check still refuses what a lifted entry cap would let through
+    from skeincalc.commands import homology
+    monkeypatch.setattr(homology, "MAX_ENTRY_DIGITS", 4001)
+    code, out, err = run(capsys, "homology", f"--matrix={_HUGE_FACTORS}")
+    assert code == 1 and out == ""
+    assert f"more than {MAX_FACTOR_DIGITS} digits" in err
+
+
+def test_homology_entry_digit_cap(capsys, monkeypatch):
+    from skeincalc import intlinalg
+    cap = MAX_ENTRY_DIGITS
+    largest = 10 ** cap - 1
+    code, out, _ = run(capsys, "homology", f"--matrix={-largest},1;0,{largest}")
+    assert code == 0 and str(largest * largest) in out
+
+    def refuse(*args):
+        raise AssertionError("elimination before the entry cap was checked")
+
+    monkeypatch.setattr(intlinalg, "cokernel", refuse)
+    # 4,301 digits pass int()'s limit, so digits are counted on the literal
+    for entry in (10 ** cap, -(10 ** cap), "9" * 4301):
+        digits = len(str(entry).lstrip("-"))
+        for fmt in ((), ("--json",)):
+            code, out, err = run(capsys, "homology", f"--matrix=1,0;0,{entry}", *fmt)
+            assert code == 1, digits
+            assert f"matrix entry digits={digits} is above the cap {cap}" in err
+            assert out == ""
 
 
 _GARBAGE = st.one_of(st.sampled_from(["", "x", "1.5", "--", "0x10", "nan", "1e3", "١٢"]),

@@ -38,14 +38,18 @@ def test_bare_import_loads_only_the_ring_and_the_errors():
     assert loaded_after("import skeincalc.cli") == sorted(CLI)
 
 
+# each command adds the commands package, its own handler module and the
+# layers that handler calls, and no other command's module
 COMMAND_CASES = [
-    (["hopf", "--p", "5", "--n", "2"], ("skein",)),
-    (["invariant", "--p", "5"], ("congruence", "intlinalg", "invariants", "skein")),
-    (["valuation", "--p", "7"], ("congruence", "invariants", "skein")),
-    (["homology", "--matrix", "0,5;5,5"], ("intlinalg", "invariants", "skein")),
+    (["hopf", "--p", "5", "--n", "2"], ("commands.hopf", "skein")),
+    (["invariant", "--p", "5"],
+     ("commands.invariant", "congruence", "intlinalg", "invariants", "skein")),
+    (["valuation", "--p", "7"], ("commands.valuation", "invariants", "skein")),
+    (["homology", "--matrix", "0,5;5,5"],
+     ("commands.homology", "intlinalg", "invariants", "skein")),
     (["cover", "analyze", "--form", "A25+B5[2]", "--char", "tors:1/5,0"],
-     ("intlinalg", "linkform")),
-    (["orbit-check", "--p", "5"], ("congruence", "skein")),
+     ("commands.cover_analyze", "intlinalg", "linkform")),
+    (["orbit-check", "--p", "5"], ("commands.orbit_check", "congruence", "skein")),
 ]
 COMMAND_IDS = ["hopf", "invariant", "valuation", "homology", "cover-analyze", "orbit-check"]
 
@@ -55,7 +59,24 @@ def test_each_command_loads_only_its_layers(argv, layers):
     code = ("import contextlib, io\nfrom skeincalc import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
-    assert loaded_after(code) == sorted(CLI + layers)
+    assert loaded_after(code) == sorted(CLI + ("commands",) + layers)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0), (["cover", "analyze", "-h"], 0), (["invariant", "--p", "4"], 2),
+    (["no-such-command"], 2)], ids=["help", "command-help", "bad-value", "unknown-command"])
+def test_a_call_that_runs_no_command_loads_no_handler(argv, code):
+    # the handler module is imported after the arguments parse
+    run = ("import contextlib, io\nfrom skeincalc import cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()), "
+           "contextlib.redirect_stderr(io.StringIO()):\n"
+           "    try:\n"
+           f"        cli.main({argv!r})\n"
+           "    except SystemExit as exc:\n"
+           f"        assert exc.code == {code}\n"
+           "    else:\n"
+           "        raise AssertionError('no exit')\n")
+    assert loaded_after(run) == sorted(CLI)
 
 
 @pytest.mark.parametrize("argv, code", [(argv, 0) for argv, _ in COMMAND_CASES] + [

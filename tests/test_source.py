@@ -4,15 +4,27 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "skeincalc"
+HANDLERS = ("invariant", "hopf", "valuation", "homology", "cover_analyze", "orbit_check")
+
+
+def _modules():
+    """(name relative to the package, path) of every module, subpackages included."""
+    return [(path.relative_to(SOURCE).as_posix(), path) for path in sorted(SOURCE.rglob("*.py"))]
+
+
+def test_guards_scan_the_command_handlers():
+    names = {name for name, _ in _modules()}
+    assert {"cli.py", "commands/__init__.py"} <= names
+    assert {f"commands/{handler}.py" for handler in HANDLERS} <= names
 
 
 def test_no_assert_statements():
     # internal checks must raise, so that they survive python -O
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, path in _modules():
+        for node in ast.walk(ast.parse(path.read_text(), name)):
             if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
     assert SOURCE.is_dir()
     assert not found, f"assert statements in the package: {found}"
 
@@ -21,8 +33,7 @@ def _banned_names(banned):
     """Where a definition, import, attribute, name or string constant of the
     package is named in banned."""
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        name = path.name
+    for name, path in _modules():
         for node in ast.walk(ast.parse(path.read_text(), name)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -64,8 +75,7 @@ def test_no_argument_parsing_library():
     # and locale modules it loads cost about 8 ms per call
     banned = {"argparse", "optparse", "getopt", "gettext"}
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        name = path.name
+    for name, path in _modules():
         for node in ast.walk(ast.parse(path.read_text(), name)):
             if isinstance(node, ast.Import):
                 names = [a.name.partition(".")[0] for a in node.names]
@@ -118,8 +128,7 @@ def test_span_test_is_membership_only():
     banned = {"solve", "_identity"}
     allowed = {"in_span", "cokernel", "diagonal_entries"}
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        name = path.name
+    for name, path in _modules():
         for node in ast.walk(ast.parse(path.read_text(), name)):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name in banned):
@@ -151,8 +160,7 @@ def test_only_ring_types_define_arithmetic():
            "__pow__"}
     ring_types = {"CycInt", "CycNum"}
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        name = path.name
+    for name, path in _modules():
         for node in ast.walk(ast.parse(path.read_text(), name)):
             if isinstance(node, ast.ClassDef) and node.name == "ResidueClass":
                 found.append(f"{name}:{node.lineno}: defines ResidueClass")
