@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 # every other public name, keyed to the module it is read from on first access
 _LAZY = {
     "skein": ("SkeinElem", "delta", "eta", "eta_squared", "hopf_bracket", "kappa",
-              "omega", "plane_eval", "point_eval", "quantum_int", "twist"),
-    "invariants": ("AbelianGroup", "HopfSatellite", "bracket_satellite",
+              "omega", "omega_bracket", "plane_eval", "point_eval", "quantum_int", "twist"),
+    "invariants": ("AbelianGroup", "HopfSatellite", "base_homology", "bracket_satellite",
                    "cover_invariant", "cover_invariant_valuation",
                    "homology_from_matrix", "linking_matrix"),
     "congruence": ("CongruenceVerdict", "check_kappa_congruence", "kappa_order",

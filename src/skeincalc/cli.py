@@ -31,11 +31,10 @@ MAX_N = 1000
 # 2-CPU machine where python -c pass takes 0.03 s
 MAX_MATRIX_DIM = 60
 # the most decimal digits in a homology matrix entry, counted on the literal;
-# each Euclid round of the elimination updates a row of such integers
+# each Euclid round of the elimination updates a row of such integers, and by
+# Hadamard's bound no invariant factor within this cap and MAX_MATRIX_DIM has
+# 1,554 digits, far below the 4,300 that Python prints from an int
 MAX_ENTRY_DIGITS = 25
-# the most digits homology prints in one invariant factor, below Python's
-# 4,300-digit limit on converting an int to text
-MAX_FACTOR_DIGITS = 4000
 # the most summands, free rank and curves that cover analyze accepts: its
 # span test eliminates free rank + summand rows and one column per curve
 MAX_COVER_DIM = 40
@@ -227,7 +226,3 @@ def main(argv=None) -> int:
     except CalcError as exc:
         print(f"skeincalc: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,9 +1,7 @@
 """homology: the cokernel of an integer matrix given as a literal."""
 
 from .. import invariants
-from ..cli import (MAX_ENTRY_DIGITS, MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, _check_cap, _emit,
-                   _exit)
-from ..errors import TooLargeError
+from ..cli import MAX_ENTRY_DIGITS, MAX_MATRIX_DIM, _check_cap, _emit, _exit
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -23,8 +21,6 @@ def run(args) -> int:
         _exit(["homology"], f"bad matrix literal: {exc}")
     _check_cap("matrix dimension", max(len(matrix), len(matrix[0])), MAX_MATRIX_DIM)
     group = invariants.homology_from_matrix(matrix)
-    if group.torsion and group.torsion[-1] >= 10 ** MAX_FACTOR_DIGITS:
-        raise TooLargeError(f"an invariant factor has more than {MAX_FACTOR_DIGITS} digits")
     record = {"matrix": args.matrix, "homology": group.to_json()}
     _emit(args, record, [str(group)])
     return 0

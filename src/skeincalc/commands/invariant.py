@@ -10,7 +10,7 @@ def run(args) -> int:
     value = invariants.cover_invariant(p)
     verdict = congruence.check_kappa_congruence(value, p)
     v = invariants.cover_invariant_valuation(p)
-    hom = invariants.homology_from_matrix(invariants.linking_matrix(p))
+    hom = invariants.base_homology(p)
     record = {
         "p": p,
         "value": value.to_json(),

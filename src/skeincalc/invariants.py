@@ -10,7 +10,10 @@ twist(zero_decor, -1) * cable**p of the decorations as polynomials in z.
 bracket_satellite evaluates L for any decorations at the points z_j with
 the weights of skein.hopf_weights.  With omega(p) on every component only
 the point z_1 = delta is left and contributes <omega>**p (README lemmas
-(a)-(c)), so both invariants take that power and nothing is divided.
+(a)-(c)); as eta^2 <omega> = 1, both invariants read <omega> alone.
+
+skein and intlinalg load on first use, through the package namespace, so
+homology_from_matrix compiles no skein and the invariants no intlinalg.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import skeincalc
 
 from .cyclotomic import CycNum, from_int, ring_modulus, valuation
 from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
-from .skein import (SkeinElem, eta, eta_squared, hopf_weights, omega, phase_pinned,
-                    plane_eval, point_eval, twist)
 
 
 class HopfSatellite:
@@ -31,7 +32,8 @@ class HopfSatellite:
 
     __slots__ = ("p", "cable_decor", "zero_decor")
 
-    def __init__(self, p: int, cable_decor: SkeinElem, zero_decor: SkeinElem) -> None:
+    def __init__(self, p: int, cable_decor: skeincalc.skein.SkeinElem,
+                 zero_decor: skeincalc.skein.SkeinElem) -> None:
         if cable_decor.p != p or zero_decor.p != p:
             raise ModulusMismatchError("decorations must live in the ring for p")
         self.p = p
@@ -52,46 +54,42 @@ def bracket_satellite(sat: HopfSatellite) -> CycNum:
     tz = twist(zero_decor, -1).  A point is skipped only when cable(z_j)
     is zero there.
     """
+    skein = skeincalc.skein
     p = sat.p
-    tz = twist(sat.zero_decor, -1)
+    tz = skein.twist(sat.zero_decor, -1)
     total = CycNum(from_int(ring_modulus(p), 0), p, 0)
-    for j, w in enumerate(hopf_weights(p), 1):
-        c = point_eval(sat.cable_decor, j)
+    for j, w in enumerate(skein.hopf_weights(p), 1):
+        c = skein.point_eval(sat.cable_decor, j)
         if not c.is_zero:
-            total = total + w * point_eval(tz, j) * c ** p
+            total = total + w * skein.point_eval(tz, j) * c ** p
     return total
-
-
-@lru_cache(maxsize=None)
-def _surgery_bracket(p: int) -> CycNum:
-    """The bracket with omega(p) on every component, <omega>**p; shared by both invariants."""
-    return plane_eval(omega(p)) ** p
 
 
 def cover_invariant(p: int) -> CycNum:
     """Normalized invariant of the surgered p-fold cover at p in {5, 7}.
 
-    eta^(p+2) times the satellite bracket with the surgery element on all
-    p + 1 components (the exponent is component count plus one).  Other
-    primes have no pinned signed eta; use cover_invariant_valuation instead.
+    eta^(p+2) times the satellite bracket <omega>**p with the surgery
+    element on all p + 1 components; as eta^2 <omega> = 1 that is
+    eta * <omega>**((p-1)/2).  Other primes have no pinned signed eta; use
+    cover_invariant_valuation instead.
     """
-    if not phase_pinned(p):
+    skein = skeincalc.skein
+    if not skein.phase_pinned(p):
         raise UnsupportedPrimeError(
             f"exact invariant needs the signed eta, pinned only for p in {{5, 7}}")
-    return eta(p) ** (p + 2) * _surgery_bracket(p)
+    return skein.eta(p) * skein.omega_bracket(p) ** ((p - 1) // 2)
 
 
 @lru_cache(maxsize=None)
 def cover_invariant_valuation(p: int) -> int:
     """(1 - zeta_p)-adic valuation of the cover invariant, for any p >= 5.
 
-    Works through the squared invariant so only eta^2 is needed: the
-    valuation of eta^(2(p+2)) * bracket^2 is even (it is a square) and half
-    of it is the answer.  An odd value signals a convention bug.
+    The squared invariant is eta^(2(p+2)) <omega>^(2p) = <omega>^(p-2), so
+    only <omega> is needed: the valuation is (p - 2) v(<omega>) / 2, and
+    the product is even (it is a square's).  An odd product signals a
+    convention bug.
     """
-    b = _surgery_bracket(p)
-    squared = eta_squared(p) ** (p + 2) * b * b
-    v2 = valuation(squared, p)
+    v2 = (p - 2) * valuation(skeincalc.skein.omega_bracket(p), p)
     if v2 == math.inf:
         raise InconsistencyError("squared invariant vanished")
     if v2 % 2:
@@ -161,3 +159,12 @@ def homology_from_matrix(mat) -> AbelianGroup:
     """
     free_rank, torsion = skeincalc.intlinalg.cokernel(mat)
     return AbelianGroup(free_rank, torsion)
+
+
+def base_homology(p: int) -> AbelianGroup:
+    """Z_p + Z_p, the cokernel of linking_matrix(p), read off in closed form.
+
+    Its determinantal divisors are d1 = p, the gcd of the entries, and
+    d1 d2 = p^2, the determinant up to sign, so both invariant factors are p.
+    """
+    return AbelianGroup(0, (p, p))

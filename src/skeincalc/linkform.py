@@ -19,7 +19,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import intlinalg
+import skeincalc
+
 from .errors import CharacterDomainError, InconsistencyError
 from .cyclotomic import is_prime
 
@@ -238,7 +239,9 @@ def complement_simple(h: Homology1, chi: Character, curves) -> bool:
 
     True when the Bockstein dual of chi lies in the subgroup of
     Z^r + torsion generated by the curve classes: a span test on the curve
-    columns, each torsion row read modulo its summand order.
+    columns, each torsion row read modulo its summand order.  intlinalg loads
+    on the first call, through the package namespace, so a cover analysis
+    without curves does not compile it.
     """
     dual = dual_element(h.form, chi.torsion_values)
     curves = list(curves)
@@ -249,7 +252,8 @@ def complement_simple(h: Homology1, chi: Character, curves) -> bool:
             raise ValueError("curve class shape does not match H_1")
     rows = [[c.free[j] for c in curves] for j in range(r)]
     rows += [[c.torsion.values[j] for c in curves] for j in range(s)]
-    return intlinalg.in_span(rows, [0] * r + list(dual.values), [0] * r + list(h.form.orders))
+    return skeincalc.intlinalg.in_span(rows, [0] * r + list(dual.values),
+                                       [0] * r + list(h.form.orders))
 
 
 class SccCurve(NamedTuple):

@@ -12,8 +12,8 @@ Conventions (all verified by the test suite):
   * the twist acts on e_k by (-1)^k A^(k^2 + 2k);
   * the surgery element is omega(p) = sum of (-1)^k [k+1] e_k.
 
-Every sum of powers of A (A**e, delta, [k], eta^2, H_n, the weights) is one
-vector reduced once by _A_sum.  An element is only ever evaluated at the
+Every sum of powers of A (A**e, delta, [k], <omega>, eta^2, H_n, the
+weights) is one vector reduced once by _A_sum.  An element is only ever evaluated at the
 points z_j = -(A^2j + A^-2j) (point_eval, by Clenshaw's recurrence); z_1 =
 delta gives plane_eval.  A bracket of +1-twisted cables,
 L(f) = plane_eval(twist(f, 1)), is the sum of w_j f(z_j), j = 1 .. (p-1)/2,
@@ -143,6 +143,18 @@ def plane_eval(x: SkeinElem) -> CycNum:
 def omega(p: int) -> SkeinElem:
     """Surgery element at p: sum over k <= (p-3)/2 of (-1)^k [k+1] e_k."""
     return SkeinElem(p, [quantum_int(p, k + 1) * (-1) ** k for k in range((p - 1) // 2)])
+
+
+@lru_cache(maxsize=None)
+def omega_bracket(p: int) -> CycInt:
+    """<omega> = plane_eval(omega(p)) = sum of [j]^2 over j = 1 .. k, k = (p-1)/2.
+
+    [j]^2 = sum over |u| < j of (j - |u|) A^(4u), so A^(4u) collects
+    1 + 2 + ... + (k - |u|) = T(k - |u|), T(n) = n(n+1)/2: O(p) terms in
+    one sum, and 1 at p = 3.
+    """
+    k = (p - 1) // 2
+    return _A_sum(p, [((k - abs(u)) * (k - abs(u) + 1) // 2, 4 * u) for u in range(1 - k, k)])
 
 
 def twist(x: SkeinElem, e: int) -> SkeinElem:

@@ -3,11 +3,14 @@
 These deliberately avoid the production code paths they check.  The
 package sums the Hopf bracket H_n per residue class of s mod 2p as one
 vector, evaluates the general bracket at the points z_j with closed-form
-weights, and takes the surgery bracket as the one point value <omega>**p;
-here H_n is resolved from an explicit diagram crossing by crossing, summed
-as w_j z_j^n over the points with z_j^n built up factor by factor, or
-summed from the binomial formula with one exact division (the package's own
-formula, so that check covers only the summation per class).
+weights, and reads both invariants off <omega> = sum of T(k - |u|) A^(4u);
+here <omega> is the Clenshaw value of omega(p) at delta, the surgery
+bracket its p-th power, and the valuation half that of the squared
+invariant eta^(2(p+2)) (<omega>**p)**2.  H_n is resolved from an explicit
+diagram crossing by crossing, summed as w_j z_j^n over the points with
+z_j^n built up factor by factor, or summed from the binomial formula with
+one exact division (the package's own formula, so that check covers only
+the summation per class).
 The package keeps skein elements on the Chebyshev basis e_k and evaluates
 them by Clenshaw's recurrence; here they become polynomials in z (ZPoly),
 built by e_(k+1) = z e_k - e_(k-1) and read back through the ballot-number
@@ -62,12 +65,14 @@ from skeincalc.cyclotomic import (
     one,
     ring_modulus,
     root,
+    valuation,
     zero,
 )
 from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
 from skeincalc.intlinalg import _clear_leading, _rows, in_span
 from skeincalc.linkform import TorsionElement, _iroot, dual_element
-from skeincalc.skein import A_power, SkeinElem, delta, hopf_weights, kappa, kappa_order
+from skeincalc.skein import (A_power, SkeinElem, delta, eta, eta_squared, hopf_weights, kappa,
+                             kappa_order, omega, plane_eval)
 
 
 def poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -465,6 +470,27 @@ def satellite_direct(p: int, cable_decors, zero_decor) -> CycNum:
                 term = term * dec.coeffs[j]
             total = total + term * hopf_binomial(p, m + sum(combo))
     return total
+
+
+@lru_cache(maxsize=None)
+def surgery_bracket(p: int) -> CycNum:
+    """<omega>**p, the bracket with omega(p) on every component: one Clenshaw
+    evaluation of omega(p) and a ring power."""
+    return plane_eval(omega(p)) ** p
+
+
+def invariant_by_surgery_bracket(p: int) -> CycNum:
+    """The cover invariant eta^(p+2) <omega>**p at p in {5, 7}."""
+    return eta(p) ** (p + 2) * surgery_bracket(p)
+
+
+def valuation_by_squared_power(p: int) -> int:
+    """Half the valuation of the squared invariant eta^(2(p+2)) (<omega>**p)**2."""
+    b = surgery_bracket(p)
+    v2 = valuation(eta_squared(p) ** (p + 2) * b * b, p)
+    if v2 == math.inf or v2 % 2:
+        raise InconsistencyError(f"squared valuation {v2} is not finite and even")
+    return v2 // 2
 
 
 @lru_cache(maxsize=None)

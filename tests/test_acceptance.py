@@ -27,7 +27,7 @@ def _cold_caches():
     """Clear the computation-level caches so timed criteria start cold."""
     for fn in (skein.delta, skein.quantum_int, skein.omega, skein.hopf_weights,
                skein.hopf_bracket, skein.eta_squared, skein.kappa,
-               invariants._surgery_bracket, invariants.cover_invariant_valuation,
+               skein.omega_bracket, invariants.cover_invariant_valuation,
                congruence.kappa_residues):
         fn.cache_clear()
 

@@ -13,8 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeincalc.cli import (COMMANDS, MAX_COORD_DIGITS, MAX_COVER_DIM, MAX_ENTRY_DIGITS,
-                           MAX_FACTOR_DIGITS, MAX_MATRIX_DIM, MAX_N, MAX_ORBIT_WORK, main,
-                           parse_args)
+                           MAX_MATRIX_DIM, MAX_N, MAX_ORBIT_WORK, main, parse_args)
 from skeincalc.congruence import orbit_work
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
@@ -470,13 +469,20 @@ def test_homology_caps():
             assert out.stdout == ""
 
 
-def test_homology_factor_cap_behind_the_entry_cap(capsys, monkeypatch):
-    # the factor check still refuses what a lifted entry cap would let through
-    from skeincalc.commands import homology
-    monkeypatch.setattr(homology, "MAX_ENTRY_DIGITS", 4001)
-    code, out, err = run(capsys, "homology", f"--matrix={_HUGE_FACTORS}")
-    assert code == 1 and out == ""
-    assert f"more than {MAX_FACTOR_DIGITS} digits" in err
+def test_homology_factor_cap_behind_the_entry_cap():
+    # homology checks no factor size: the largest invariant factor divides a
+    # nonzero k x k minor, k <= MAX_MATRIX_DIM, and with entries below
+    # 10**MAX_ENTRY_DIGITS Hadamard's bound keeps that minor below
+    # (sqrt(k) * 10**MAX_ENTRY_DIGITS)**k, so under 1,554 digits; compared
+    # squared, in integers
+    digits = 1554
+    for k in range(1, MAX_MATRIX_DIM + 1):
+        assert (k * 10 ** (2 * MAX_ENTRY_DIGITS)) ** k < 10 ** (2 * digits), k
+    assert (MAX_MATRIX_DIM * 10 ** (2 * MAX_ENTRY_DIGITS)) ** MAX_MATRIX_DIM \
+        > 10 ** (2 * (digits - 1))
+    # far below the limit on converting an int to text (4,300; 0 means none)
+    limit = sys.get_int_max_str_digits()
+    assert limit == 0 or limit > digits
 
 
 def test_homology_entry_digit_cap(capsys, monkeypatch):

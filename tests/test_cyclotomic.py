@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from skeincalc import cyclotomic, invariants
+from skeincalc import cyclotomic
 from skeincalc.cyclotomic import (
     PRIME_TEST_LIMIT,
     CycInt,
@@ -30,6 +30,7 @@ from oracles import (
     numeric,
     random_cycint,
     reduce_by_division,
+    surgery_bracket,
     valuation_by_cofactor,
     valuation_cofactor,
     valuation_cofactor_product,
@@ -310,7 +311,7 @@ def test_valuation_makes_no_ring_product(monkeypatch):
         for N in (2 * p, 4 * p):
             pi = one(N) - root(N, N // p)
             values += [(random_cycint(rng, N) * pi ** rng.randint(0, 6), p) for _ in range(5)]
-    b = invariants._surgery_bracket(101)
+    b = surgery_bracket(101)
     values.append((eta_squared(101) ** 103 * b * b, 101))
     monkeypatch.setattr(cyclotomic, "mul_reduce", counting)
     assert [valuation(x, p) for x, p in values][-1] == 2 * 4851

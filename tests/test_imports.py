@@ -42,16 +42,17 @@ def test_bare_import_loads_only_the_ring_and_the_errors():
 # layers that handler calls, and no other command's module
 COMMAND_CASES = [
     (["hopf", "--p", "5", "--n", "2"], ("commands.hopf", "skein")),
-    (["invariant", "--p", "5"],
-     ("commands.invariant", "congruence", "intlinalg", "invariants", "skein")),
+    (["invariant", "--p", "5"], ("commands.invariant", "congruence", "invariants", "skein")),
     (["valuation", "--p", "7"], ("commands.valuation", "invariants", "skein")),
-    (["homology", "--matrix", "0,5;5,5"],
-     ("commands.homology", "intlinalg", "invariants", "skein")),
+    (["homology", "--matrix", "0,5;5,5"], ("commands.homology", "intlinalg", "invariants")),
     (["cover", "analyze", "--form", "A25+B5[2]", "--char", "tors:1/5,0"],
-     ("commands.cover_analyze", "intlinalg", "linkform")),
+     ("commands.cover_analyze", "linkform")),
+    (["cover", "analyze", "--form", "A25+B5[2]", "--char", "tors:1/5,0",
+      "--curves", "tors:5,0"], ("commands.cover_analyze", "intlinalg", "linkform")),
     (["orbit-check", "--p", "5"], ("commands.orbit_check", "congruence", "skein")),
 ]
-COMMAND_IDS = ["hopf", "invariant", "valuation", "homology", "cover-analyze", "orbit-check"]
+COMMAND_IDS = ["hopf", "invariant", "valuation", "homology", "cover-analyze",
+               "cover-analyze-curves", "orbit-check"]
 
 
 @pytest.mark.parametrize("argv, layers", COMMAND_CASES, ids=COMMAND_IDS)
@@ -103,6 +104,26 @@ def test_invariants_loads_intlinalg_on_the_first_homology():
     after = loaded_after("import skeincalc.invariants as inv\n"
                          "print(inv.homology_from_matrix([[0, 5], [5, 5]]))")
     assert after == sorted({*before, "intlinalg"})
+
+
+def test_linkform_loads_intlinalg_on_the_first_span_test():
+    setup = ("import skeincalc.linkform as lf\n"
+             "form = lf.parse_form('A25')\n"
+             "h = lf.Homology1(0, form)\n"
+             "chi = lf.parse_character('tors:1/5', form, 0, None)\n"
+             "print(lf.is_simple(h, chi), lf.scc_curves(h, chi))\n")
+    before = loaded_after(setup)
+    assert "intlinalg" not in before and "linkform" in before
+    after = loaded_after(setup + "print(lf.complement_simple(h, chi, "
+                                 "[lf.parse_curve('tors:5', form, 0)]))")
+    assert after == sorted({*before, "intlinalg"})
+
+
+def test_both_invariants_load_no_intlinalg():
+    # each is read off <omega>, so neither reaches the cokernel layer
+    assert loaded_after("import skeincalc.invariants as inv\n"
+                        "print(inv.cover_invariant(5), inv.cover_invariant_valuation(13))") \
+        == ["cyclotomic", "errors", "invariants", "skein"]
 
 
 def test_public_names_are_their_home_modules_objects():

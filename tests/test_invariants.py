@@ -6,11 +6,13 @@ import pytest
 
 from skeincalc import cyclotomic, invariants, skein
 from skeincalc.congruence import cm_bound
-from skeincalc.cyclotomic import CycInt, CycNum, is_prime, mod_p, ring_modulus, valuation
+from skeincalc.cyclotomic import (CycInt, CycNum, is_prime, mod_p, ring_modulus, valuation,
+                                  zero)
 from skeincalc.errors import UnsupportedPrimeError
 from skeincalc.invariants import (
     AbelianGroup,
     HopfSatellite,
+    base_homology,
     bracket_satellite,
     cover_invariant,
     cover_invariant_valuation,
@@ -18,10 +20,11 @@ from skeincalc.invariants import (
     linking_matrix,
 )
 from skeincalc.skein import (A_power, SkeinElem, delta, eta, eta_squared, hopf_bracket, omega,
-                             point_eval)
+                             omega_bracket, point_eval, quantum_int)
 
-from oracles import (bracket_by_cable_power, from_z, random_cycint, random_skein, satellite_direct,
-                     to_z)
+from oracles import (bracket_by_cable_power, from_z, invariant_by_surgery_bracket, random_cycint,
+                     random_skein, satellite_direct, surgery_bracket, to_z,
+                     valuation_by_squared_power)
 
 # the published p=5 value and the forced p=7 value (see README notes)
 VALUE_P5 = CycInt(20, [0, -2, 0, 4, 0, -1, 0, -2])
@@ -162,8 +165,11 @@ def test_linking_matrix():
 
 
 def test_homology_examples():
-    for p in (3, 5, 7, 11):
-        assert homology_from_matrix(linking_matrix(p)) == AbelianGroup(0, [p, p])
+    # the cokernel of the linking matrix is the oracle of the closed form
+    for p in range(3, 102, 2):
+        if is_prime(p):
+            assert homology_from_matrix(linking_matrix(p)) == AbelianGroup(0, [p, p])
+            assert base_homology(p) == AbelianGroup(0, [p, p])
     assert homology_from_matrix([[1]]).is_trivial
     assert str(homology_from_matrix([[0, 5], [5, 5]])) == "Z_5 ⊕ Z_5"
 
@@ -247,13 +253,13 @@ def test_valuation_past_the_benchmark_primes():
 
 
 def test_valuation_at_p101_makes_few_ring_products(monkeypatch):
-    # the bracket is <omega>**p, one Clenshaw evaluation and a ring power;
-    # the ring products left are that power, eta^2 and its power and the
-    # squaring, 24 in all, and the valuation makes none (80 when the bracket
-    # summed over the points of hopf_points and the valuation multiplied by
-    # the cofactor, 330 when the weights and twists were built by ring
-    # products, 9,354 when the decorations were evaluated by Horner's rule
-    # in the z-basis)
+    # the valuation is (p - 2) v(<omega>) / 2 with <omega> one sum of powers
+    # of A, so it makes no ring product (24 when it raised the Clenshaw value
+    # of omega to the p-th power and multiplied by eta^(2(p+2)), 80 when the
+    # bracket summed over the points of hopf_points and the valuation
+    # multiplied by the cofactor, 330 when the weights and twists were built
+    # by ring products, 9,354 when the decorations were evaluated by Horner's
+    # rule in the z-basis)
     for module in (skein, invariants):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
@@ -281,28 +287,43 @@ def test_valuation_closed_form():
 
 def test_closed_form_lemmas():
     # README, "The cover invariant is eta^(2-p)": (a) omega vanishes at z_j
-    # for j >= 2, (b) omega(z_1) = eta^-2, (c) w_1 tz(z_1) = 1
-    for p in range(5, 102, 2):
+    # for j >= 2, (b) omega(z_1) = eta^-2, (c) w_1 tz(z_1) = 1; and the
+    # closed form of <omega> = omega(z_1) against the Clenshaw value and the
+    # sum of [j]^2 (at p = 3 both are the single term 1)
+    assert omega_bracket(3) == 1
+    for p in range(3, 102, 2):
         if not is_prime(p):
             continue
         om = omega(p)
         for j in range(2, (p - 1) // 2 + 1):
             assert point_eval(om, j).is_zero, (p, j)
+        assert omega_bracket(p) == point_eval(om, 1), p
+        squares = sum((quantum_int(p, j) ** 2 for j in range(1, (p - 1) // 2 + 1)),
+                      zero(ring_modulus(p)))
+        assert omega_bracket(p) == squares, p
         assert eta_squared(p) * point_eval(om, 1) == 1
         w1 = skein.hopf_weights(p)[0]
         assert w1 * point_eval(skein.twist(om, -1), 1) == 1
 
 
 def test_surgery_bracket_is_the_point_bracket():
-    # <omega>**p, which both invariants use, against the (p-1)/2-point sum
-    for p in (5, 7, 11, 13, 101):
-        assert invariants._surgery_bracket(p) == \
+    # the oracle routes against the closed form: <omega>**p by Clenshaw and
+    # a ring power, against the (p-1)/2-point sum and the closed <omega>;
+    # the invariant eta^(p+2) <omega>**p and half the valuation of its
+    # square against eta <omega>**((p-1)/2) and (p - 2) v(<omega>) / 2
+    for p in (3, 5, 7, 11, 13, 101):
+        assert surgery_bracket(p) == omega_bracket(p) ** p, p
+        assert surgery_bracket(p) == \
             bracket_satellite(HopfSatellite(p, omega(p), omega(p))), p
+    for p in (5, 7):
+        assert invariant_by_surgery_bracket(p) == cover_invariant(p), p
+    for p in (5, 7, 11, 13, 53, 101):
+        assert valuation_by_squared_power(p) == cover_invariant_valuation(p), p
 
 
 def test_valuation_at_p61_cold():
     for fn in (skein.quantum_int, skein.omega, skein.hopf_weights,
-               skein.eta_squared, cover_invariant_valuation):
+               skein.eta_squared, skein.omega_bracket, cover_invariant_valuation):
         fn.cache_clear()
     t0 = time.perf_counter()
     v = cover_invariant_valuation(61)

@@ -134,20 +134,24 @@ def test_span_test_is_membership_only():
                     and node.name in banned):
                 found.append(f"{name}:{node.lineno}: defines {node.name}")
     tree = ast.parse((SOURCE / "linkform.py").read_text(), "linkform.py")
+
+    def names_module(node):  # intlinalg, or skeincalc.intlinalg read on first use
+        return (isinstance(node, ast.Name) and node.id == "intlinalg"
+                or isinstance(node, ast.Attribute) and node.attr == "intlinalg")
+
     uses = 0
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("intlinalg"):
             found += [f"linkform.py:{node.lineno}: imports {a.name}"
                       for a in node.names if a.name not in allowed]
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id == "intlinalg"):
+        elif isinstance(node, ast.Attribute) and names_module(node.value):
             uses += 1
             if node.attr not in allowed:
                 found.append(f"linkform.py:{node.lineno}: intlinalg.{node.attr}")
-    # every other mention of the module name (getattr, an alias) is refused
-    names = sum(isinstance(n, ast.Name) and n.id == "intlinalg" for n in ast.walk(tree))
-    if names != uses:
-        found.append(f"linkform.py: {names - uses} bare uses of intlinalg")
+    # every other mention of the module (getattr, an alias) is refused
+    names = sum(map(names_module, ast.walk(tree)))
+    if names != uses or not uses:
+        found.append(f"linkform.py: {names - uses} bare uses of intlinalg of {names}")
     assert SOURCE.is_dir()
     assert not found, f"span test beyond in_span: {found}"
 
