@@ -20,7 +20,7 @@ from .cyclotomic import is_prime
 from .errors import CalcError, TooLargeError
 
 # the largest p that valuation, hopf and orbit-check accept: valuation --p 101
-# takes about 0.15 s end to end on a 2-CPU machine (0.12 s at p = 61)
+# takes about 0.07 s end to end on a 2-CPU machine, 2 ms more than --p 5
 MAX_P = 101
 # the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 0.1 s end
 # to end on a 2-CPU machine, of which about 0.06 s is interpreter start
