@@ -43,6 +43,12 @@ MAX_COVER_DIM = 40
 # test updates a row of them, and 40 of each dimension with random 40-digit
 # coordinates take about 1.7 s in process on a 2-CPU machine (2.4 s at 50)
 MAX_COORD_DIGITS = 40
+# the most decimal digits in a cover analyze summand order, counted on the
+# --form literal; every torsion entry of the span test is reduced modulo such
+# an order, and each Euclid round on a free coordinate updates a row of them:
+# 40 of each dimension with 200-digit orders and full-length torsion
+# coordinates take about 2.2 s end to end on a 2-CPU machine (1.9 s at 2)
+MAX_ORDER_DIGITS = 200
 # the most congruence.orbit_work units (about 1 us each) that orbit-check
 # accepts: its slowest accepted input, --p 5 --colors 2 --trials 1459, takes
 # about 1.8 s end to end on a 2-CPU machine (--p 3 --colors 48 about 1.5 s)

@@ -1,15 +1,17 @@
 """cover analyze: linking-form analysis of the cover of a character."""
 
 from .. import linkform
-from ..cli import MAX_COORD_DIGITS, MAX_COVER_DIM, _check_cap, _emit, _exit
+from ..cli import MAX_COORD_DIGITS, MAX_COVER_DIM, MAX_ORDER_DIGITS, _check_cap, _emit, _exit
 from ..errors import CharacterDomainError
 
 
 def run(args) -> int:
     try:
+        # digits are counted on the literal, as int() refuses more than 4,300
+        digits = [sum(map(str.isdigit, s.partition("[")[0])) for s in args.form.split("+")]
+        _check_cap("summand order digits", max(digits), MAX_ORDER_DIGITS)
         form = linkform.parse_form(args.form)
         chi = linkform.parse_character(args.char, form, args.free_rank, args.order)
-        # digits are counted on the literal, as int() refuses more than 4,300
         digits = [sum(map(str.isdigit, x)) for c in args.curves
                   for x in linkform.split_sections(c).get("free", [])]
         _check_cap("free coordinate digits", max(digits, default=0), MAX_COORD_DIGITS)

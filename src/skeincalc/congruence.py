@@ -17,12 +17,12 @@ from functools import lru_cache
 from .cyclotomic import (  # noqa: F401
     CycInt,
     CycNum,
+    _shape,
     cm_bound,
     euler_phi,
     from_int,
     mod_p,
     ring_modulus,
-    root,
 )
 from .errors import ModulusMismatchError
 from .skein import kappa_order, kappa_root_exponent
@@ -71,17 +71,34 @@ def kappa_residues(p: int) -> dict:
     each line is keyed by the coefficient tuple (mod p, see mod_p) of its
     point whose first nonzero coefficient is 1, and maps to (m, u): m is
     the least exponent on the line and residue(kappa^m) = u * key.  The
-    zero residue is keyed to (0, 0).  kappa^m is zeta_N^(t*m), so the table
-    has at most ord(kappa) + 1 entries and takes no ring product to build.
-    The coefficients of a power of zeta_N are 0 or +-1, so u is 1 or p - 1
-    and u^-1 = u.
+    zero residue is keyed to (0, 0).  kappa^m is zeta_N^k, k = t*m mod N,
+    so the table has at most ord(kappa) + 1 entries, each read off the
+    shape Phi_N(x) = Phi_p(s * x**a) of the ring (cyclotomic._shape) with
+    no ring element: zeta^(N/2) = -1, zeta^k is the basis vector e_k for
+    k < phi = a(p - 1), and zeta^(phi + r) = -sum_{j<p-1} s^j e_(aj + r)
+    for r < a, whose key D_r has first entry 1.  So u is 1 or p - 1 and
+    u^-1 = u.
     """
     N = ring_modulus(p)
+    _, a, s = _shape(N)
+    phi = a * (p - 1)
     t = kappa_root_exponent(p)
-    out: dict[tuple[int, ...], tuple[int, int]] = {mod_p(from_int(N, 0), p): (0, 0)}
+    zero = (0,) * phi
+    folded = []
+    for r in range(a):
+        d = [0] * phi
+        d[r::a] = [s ** j % p for j in range(p - 1)]
+        folded.append(tuple(d))
+    out: dict[tuple[int, ...], tuple[int, int]] = {zero: (0, 0)}
     for m in range(kappa_order(p)):
-        u, key = _line(p, root(N, t * m).coeffs)
-        out.setdefault(key, (m, u))
+        k, u = t * m % N, 1
+        if k >= a * p:
+            k, u = k - a * p, -1
+        if k < phi:
+            key = zero[:k] + (1,) + zero[k + 1:]
+        else:
+            key, u = folded[k - phi], -u
+        out.setdefault(key, (m, u % p))
     return out
 
 

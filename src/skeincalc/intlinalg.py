@@ -154,7 +154,9 @@ def in_span(mat, rhs, moduli=None) -> bool:
     (ValueError if not).  The multiple of P that makes rhs, or another
     column, vanish mod m there is taken off it, and n*P, n = m/g, replaces
     P: the annihilator step of the Howell form (Storjohann and Mulders, ESA
-    1998).  Once the rest of rhs is zero it lies in the span.
+    1998).  Each entry that step updates is reduced modulo its own row's
+    modulus, so it grows no entry of a Z/m row past m; Z rows stay
+    unreduced.  Once the rest of rhs is zero it lies in the span.
     """
     rows = _rows(mat)
     if len(rhs) != len(rows):
@@ -199,8 +201,10 @@ def in_span(mat, rhs, moduli=None) -> bool:
                 top = X.pop(gs.index(g))
                 u = pow(top[0] // g, -1, n)
                 c = x // g * u % n
-                res = [v - c * t for v, t in zip(res, top)]
-                X = [[v - k * t for v, t in zip(col[1:], top[1:])]
+                res = [(v - c * t) % r if r else v - c * t
+                       for v, t, r in zip(res, top, moduli[i:])]
+                X = [[(v - k * t) % r if r else v - k * t
+                      for v, t, r in zip(col[1:], top[1:], moduli[i + 1:])]
                      for col in X for k in (col[0] // g * u % n,)]
                 top = [n * t % r if r else n * t for t, r in zip(top[1:], moduli[i + 1:])]
                 if any(top):

@@ -20,7 +20,9 @@ cable-coefficient tuple or through the p-th power of the cable decoration.
 The order of kappa and the up-to-phase verdict are found by search over the
 powers of kappa, where the package reads both off kappa = zeta_N^t; the
 strict verdict looks x up in every residue n*kappa^m, built by ring products,
-where the package keeps one entry per line F_p^* * kappa^m.  The
+where the package keeps one entry per line F_p^* * kappa^m; that table of
+lines is also built from the ring element zeta_N^(tm) of each kappa^m, where
+the package reads each line off the shape of Phi_N.  The
 Smith form pivots on the least nonzero entry of the whole submatrix with row
 and column operations, where the package clears one column at a time by
 Euclid on the rows.  An integer solution x of mat @ x = rhs is built with
@@ -55,7 +57,7 @@ import math
 import operator
 from functools import lru_cache
 
-from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, canonical_orbit
+from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, _line, canonical_orbit
 from skeincalc.cyclotomic import (
     CycInt,
     CycNum,
@@ -72,7 +74,7 @@ from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
 from skeincalc.intlinalg import _clear_leading, _rows, in_span
 from skeincalc.linkform import TorsionElement, _iroot, dual_element
 from skeincalc.skein import (A_power, SkeinElem, delta, eta, eta_squared, hopf_weights, kappa,
-                             kappa_order, omega, plane_eval)
+                             kappa_order, kappa_root_exponent, omega, plane_eval)
 
 
 def poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -520,6 +522,18 @@ def kappa_residues_by_enumeration(p: int) -> dict:
         for n in range(p):
             out.setdefault(mod_p(power * n, p), (m, n))
         power = power * kappa(p)
+    return out
+
+
+def kappa_residues_by_roots(p: int) -> dict:
+    """The table of congruence.kappa_residues, one line per kappa^m, built
+    from the ring element kappa^m = zeta_N^(tm) and normalized by _line."""
+    N = ring_modulus(p)
+    t = kappa_root_exponent(p)
+    out: dict[tuple[int, ...], tuple[int, int]] = {mod_p(from_int(N, 0), p): (0, 0)}
+    for m in range(kappa_order(p)):
+        u, key = _line(p, root(N, t * m).coeffs)
+        out.setdefault(key, (m, u))
     return out
 
 

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeincalc.cli import (COMMANDS, MAX_COORD_DIGITS, MAX_COVER_DIM, MAX_ENTRY_DIGITS,
-                           MAX_MATRIX_DIM, MAX_N, MAX_ORBIT_WORK, main, parse_args)
+                           MAX_MATRIX_DIM, MAX_N, MAX_ORBIT_WORK, MAX_ORDER_DIGITS, main,
+                           parse_args)
 from skeincalc.congruence import orbit_work
 from skeincalc.cyclotomic import CycNum
 from skeincalc.invariants import cover_invariant
@@ -434,6 +435,33 @@ def test_cover_analyze_digit_cap(capsys, monkeypatch):
             code, out, err = run(capsys, *argv(coordinate), *fmt)
             assert code == 1, digits
             assert f"free coordinate digits={digits} is above the cap {cap}" in err
+            assert out == ""
+
+
+def test_cover_analyze_order_digit_cap(capsys, monkeypatch):
+    from skeincalc import intlinalg
+    cap = MAX_ORDER_DIGITS
+    k = max(k for k in range(1, 10 * cap) if len(str(5 ** k)) == cap)
+
+    def argv(form):
+        return ["cover", "analyze", "--form", form, "--char", "free:0;tors:1/5,0",
+                "--free-rank", "1", "--curves", f"free:1;tors:1,{5 ** k - 1}", "free:0;tors:5,2"]
+
+    # the digits of a B summand's unit are not part of its order
+    code, out, _ = run(capsys, *argv(f"A{5 ** k}+B{5 ** k}[2]"))
+    assert code == 0 and "simple on the complement of the given curves" in out
+
+    def refuse(*args):
+        raise AssertionError("span test before the cap was checked")
+
+    monkeypatch.setattr(intlinalg, "in_span", refuse)
+    # 4,301 digits pass int()'s limit, so digits are counted on the literal
+    for order in (5 ** (k + 1), 10 ** cap, "9" * 4301):
+        digits = len(str(order))
+        for fmt in ((), ("--json",)):
+            code, out, err = run(capsys, *argv(f"A{5 ** k}+B{order}[2]"), *fmt)
+            assert code == 1, digits
+            assert f"summand order digits={digits} is above the cap {cap}" in err
             assert out == ""
 
 

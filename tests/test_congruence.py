@@ -15,6 +15,7 @@ from skeincalc.congruence import (
     orbit_congruence_check,
     orbit_work,
 )
+from skeincalc import cyclotomic
 from skeincalc.cyclotomic import CycInt, CycNum, from_int, is_prime, mod_p, one, ring_modulus
 from skeincalc.errors import ModulusMismatchError, NonIntegralError
 from skeincalc.invariants import cover_invariant
@@ -22,6 +23,7 @@ from skeincalc.skein import kappa
 
 from oracles import (
     kappa_order_by_search,
+    kappa_residues_by_roots,
     orbit_check_by_sequence,
     phase_verdict_by_search,
     random_cycint,
@@ -86,6 +88,28 @@ def test_residue_tables_build_cold_in_time():
         kappa_residues(p)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.15, elapsed
+
+
+def test_residue_tables_match_the_root_oracle():
+    # both ring shapes, N = 2p and N = 4p, and N = 6 at p = 3; the order of
+    # the entries is the order of the root loop too
+    for p in range(3, 102):
+        if is_prime(p):
+            table = kappa_residues(p)
+            want = kappa_residues_by_roots(p)
+            assert table == want and list(table) == list(want), p
+
+
+def test_residue_tables_build_no_ring_element(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a ring element was built")
+
+    kappa_residues.cache_clear()
+    monkeypatch.setattr(cyclotomic, "root", refused)
+    monkeypatch.setattr(cyclotomic, "_reduce", refused)
+    monkeypatch.setattr(CycInt, "__init__", refused)
+    sizes = [len(kappa_residues(p)) for p in range(3, 102) if is_prime(p)]
+    assert len(sizes) == 25 and all(sizes)
 
 
 def test_verdicts_for_the_two_invariants():

@@ -348,3 +348,30 @@ def test_in_span_moduli_errors():
     with pytest.raises(ValueError, match="not a prime power"):
         in_span([[2, 3]], [3], [6])
     assert in_span([[2, 0]], [7], [0]) is False and in_span([[2, 0]], [7], [5]) is True
+
+
+def test_reduced_span_test_matches_the_constructive_solve():
+    # every entry the Z/p^t step updates is reduced modulo its row's order;
+    # the verdict must stay that of an integer solution of the system with
+    # one modulus column per Z/p^t row, including orders p^t with t up to 400
+    rng = random.Random(27)
+    seen = set()
+    for k in range(1500):
+        p = rng.choice([2, 3, 5, 7])
+        m, n = rng.randint(1, 7), rng.randint(0, 5)
+        top = 400 if k % 10 == 0 else 3
+        moduli = [rng.choice([0, p ** rng.randint(1, top)]) for _ in range(m)]
+        a = [[rng.randrange(q) if q and rng.random() < 0.5 else rng.randint(-9, 9)
+              for _ in range(n)] for q in moduli]
+        if rng.random() < 0.5:
+            x = [rng.randint(-9, 9) for _ in range(n)]
+            b = [sum(u * v for u, v in zip(row, x)) + rng.randint(-3, 3) * q
+                 for row, q in zip(a, moduli)]
+        else:
+            b = [rng.randint(-9, 9) for _ in range(m)]
+        aug = [row + [q if j == i else 0 for j, q in enumerate(moduli) if q]
+               for i, row in enumerate(a)]
+        verdict = in_span(a, b, moduli)
+        assert verdict == (solve(aug, b) is not None), (a, b, moduli)
+        seen.add(verdict)
+    assert seen == {True, False}

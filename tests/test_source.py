@@ -186,3 +186,18 @@ def test_only_ring_types_define_arithmetic():
                 found.append(f"{name}:{node.lineno}: {node.value!r}")  # a setattr route
     assert SOURCE.is_dir()
     assert not found, f"arithmetic outside CycInt and CycNum: {found}"
+
+
+def test_residue_table_builds_no_ring_element():
+    # kappa_residues reads each line off the shape of Phi_N; the table built
+    # from ring elements zeta_N^(tm) is a test oracle (tests/oracles.py)
+    banned = {"root", "from_int", "CycInt", "mod_p"}
+    tree = ast.parse((SOURCE / "congruence.py").read_text(), "congruence.py")
+    body = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "kappa_residues"]
+    assert len(body) == 1
+    found = [f"congruence.py:{node.lineno}: {name}" for node in ast.walk(body[0])
+             for name in ([node.id] if isinstance(node, ast.Name)
+                          else [node.attr] if isinstance(node, ast.Attribute) else [])
+             if name in banned]
+    assert not found, f"ring elements in kappa_residues: {found}"
