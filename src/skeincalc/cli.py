@@ -47,7 +47,8 @@ MAX_COORD_DIGITS = 40
 # --form literal; every torsion entry of the span test is reduced modulo such
 # an order, and each Euclid round on a free coordinate updates a row of them:
 # 40 of each dimension with 200-digit orders and full-length torsion
-# coordinates take about 2.2 s end to end on a 2-CPU machine (1.9 s at 2)
+# coordinates take about 2.2 s end to end on a 2-CPU machine, 15 % more than
+# with 2-digit orders (3.6-4.7 s at 1,000 digits)
 MAX_ORDER_DIGITS = 200
 # the most congruence.orbit_work units (about 1 us each) that orbit-check
 # accepts: its slowest accepted input, --p 5 --colors 2 --trials 1459, takes

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from skeincalc import cyclotomic
 from skeincalc.cli import MAX_ORBIT_WORK, main
 from skeincalc.congruence import (
     canonical_orbit,
@@ -15,7 +16,6 @@ from skeincalc.congruence import (
     orbit_congruence_check,
     orbit_work,
 )
-from skeincalc import cyclotomic
 from skeincalc.cyclotomic import CycInt, CycNum, from_int, is_prime, mod_p, one, ring_modulus
 from skeincalc.errors import ModulusMismatchError, NonIntegralError
 from skeincalc.invariants import cover_invariant
