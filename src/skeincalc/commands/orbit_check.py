@@ -14,8 +14,8 @@ def _random_cycint(rng, N: int) -> CycInt:
 def run(args) -> int:
     p = args.p
     _check_cap("p", p, MAX_P)
-    # a sequence costs at least 1 unit and a trial 100, so these refuse only
-    # what the work figure would, and bound that figure before it is formed
+    # a trial has at least colors orbits of 9 units or more and costs 100, so these
+    # refuse only what the work figure would, and bound it before it is formed
     _check_cap("colors", args.colors, MAX_ORBIT_WORK)
     _check_cap("trials", args.trials, MAX_ORBIT_WORK)
     _check_cap("work", congruence.orbit_work(args.colors, p, args.trials), MAX_ORBIT_WORK)

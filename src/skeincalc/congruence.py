@@ -9,7 +9,6 @@ root of unity zeta_N^t, so its order is N / gcd(t, N), read off t.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -143,34 +142,38 @@ def check_kappa_congruence_up_to_phase(x, p: int) -> CongruenceVerdict:
     return verdict
 
 
-def canonical_orbit(seq) -> tuple:
-    """Lexicographically least cyclic rotation: the orbit representative."""
-    seq = tuple(seq)
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
-
-
 def necklace_orbits(num_colors: int, p: int):
-    """All shift-orbit representatives of color sequences of length p."""
-    seen = set()
-    for seq in itertools.product(range(num_colors), repeat=p):
-        rep = canonical_orbit(seq)
-        if rep not in seen:
-            seen.add(rep)
-            yield rep
+    """The least rotation of each shift orbit of the color sequences of
+    length p, in lexicographic order, by the iterative Fredricksen-Kessler-
+    Maiorana algorithm (Cattell et al., J. Algorithms 37, 2000): a runs over
+    the prenecklaces and is a necklace when its Lyndon prefix length n divides p.
+    """
+    a, n = [0] * p, 1
+    while num_colors > 0:
+        if p % n == 0:
+            yield tuple(a)
+        n = p
+        while n and a[n - 1] == num_colors - 1:
+            n -= 1
+        if not n:
+            return
+        a[n - 1] += 1
+        for j in range(n, p):  # one at a time: the extension reads what it writes
+            a[j] = a[j - n]
 
 
 def orbit_work(colors: int, p: int, trials: int = 1) -> int:
     """The work of trials orbit checks of colors^p sequences at the prime p,
-    in units of about 1 us on a 2-CPU machine.
-
-    A sequence costs p + 10 units (its rotations and multiset key) and a
-    ring product phi(N)^2 / 6.  A trial makes comb(colors + p - 1, p) * p
-    products for the multisets and 2 * bit_length(p) per color for the
-    p-th powers, and costs 100 units more for its random data.
+    in units of about 1 us on a 2-CPU machine: phi(N) / 3 + 9 units for
+    each of the (colors^p - colors) / p + colors orbits (its random value,
+    representative and multiset key), phi(N)^2 / 6 per ring product and 100
+    per trial for its weights.  A trial makes comb(colors + p - 1, p) * p
+    products for the multisets and 2 * bit_length(p) per color for p-th powers.
     """
     phi = euler_phi(ring_modulus(p))
+    orbits = (colors ** p - colors) // p + colors
     products = math.comb(colors + p - 1, p) * p + colors * 2 * p.bit_length()
-    return trials * (colors ** p * (p + 10) + products * phi * phi // 6 + 100)
+    return trials * (orbits * (phi // 3 + 9) + products * phi * phi // 6 + 100)
 
 
 class OrbitCheckReport:
@@ -194,32 +197,30 @@ def orbit_congruence_check(weights, orbit_values, p: int) -> OrbitCheckReport:
 
     LHS sums (prod of per-position weights) * value over ALL color sequences
     of length p; RHS keeps only the constant sequences with weights raised
-    to the p-th power.  ``orbit_values`` maps canonical representatives
-    (see canonical_orbit) to values and must be defined on every orbit.
+    to the p-th power.  ``orbit_values`` maps each orbit's least rotation
+    (see necklace_orbits) to its value and must be defined on every orbit.
     Values and weights are either all ints or all CycInt in one ring.
     Non-constant orbits have size p, so LHS = RHS mod p always holds; a
     false verdict indicates a bug in the caller's data or this package.
-    It sets no bound on its work, which orbit_work estimates.
-
-    A sequence's weight product depends only on its multiset of colors, so
-    the values are summed per multiset (keyed by the sorted sequence) and
-    each sum is multiplied by its weights once.
+    Each orbit is visited once: value * size (its least rotation period) is
+    summed per multiset of colors, and each sum multiplied by its weights;
+    orbit_work estimates that work, which is not bounded here.
     """
     weights = list(weights)
-    num_colors = len(weights)
     sums = {}
-    for seq in itertools.product(range(num_colors), repeat=p):
-        key = tuple(sorted(seq))
-        value = orbit_values[canonical_orbit(seq)]
+    rhs = 0
+    for rep in necklace_orbits(len(weights), p):
+        size = next(d for d in range(1, p + 1) if p % d == 0 and rep[d:] + rep[:d] == rep)
+        value = orbit_values[rep] * size
+        if size == 1:
+            rhs = rhs + weights[rep[0]] ** p * value
+        key = tuple(sorted(rep))
         sums[key] = sums[key] + value if key in sums else value
     lhs = 0
     for key, term in sums.items():
         for i in key:
             term = term * weights[i]
         lhs = lhs + term
-    rhs = 0
-    for j in range(num_colors):
-        rhs = rhs + weights[j] ** p * orbit_values[canonical_orbit((j,) * p)]
     diff = lhs - rhs
     congruent = not any(mod_p(diff, p)) if isinstance(diff, CycInt) else diff % p == 0
-    return OrbitCheckReport(lhs, rhs, congruent, num_colors ** p)
+    return OrbitCheckReport(lhs, rhs, congruent, len(weights) ** p)

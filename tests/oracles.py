@@ -39,7 +39,10 @@ sums; the cofactor's closed form is checked against the product of the
 other 1 - zeta_p**a.  Exact division and inversion up to a power of p go
 through the Galois norm; the package never divides in the ring.  The
 orbit-collapse sum multiplies the weights sequence by sequence, where the
-package multiplies them once per color multiset.  Phi_N is found by dividing
+package multiplies them once per color multiset, and takes the orbit of each
+sequence as the least of its rotations, where the package generates one
+representative per orbit by the Fredricksen-Kessler-Maiorana algorithm.
+Phi_N is found by dividing
 x^N - 1 by every Phi_d, d | N, d < N, and a vector is reduced modulo it by
 long division, where the package folds t^N = 1, t^(N/2) = -1 and
 Phi_p(s x^m) = 0 in closed form.  The command line is read by argparse,
@@ -57,7 +60,7 @@ import math
 import operator
 from functools import lru_cache
 
-from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, _line, canonical_orbit
+from skeincalc.congruence import CongruenceVerdict, OrbitCheckReport, _line
 from skeincalc.cyclotomic import (
     CycInt,
     CycNum,
@@ -805,6 +808,23 @@ def prime_power_by_trial_division(q: int) -> tuple[int, int]:
     if p ** t != q or not is_prime(p):
         raise ValueError("summand order must be a prime power")
     return p, t
+
+
+def canonical_orbit(seq) -> tuple:
+    """Lexicographically least cyclic rotation: the orbit representative."""
+    seq = tuple(seq)
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def necklace_orbits_by_rotation(num_colors: int, p: int):
+    """Each shift-orbit representative of the color sequences of length p,
+    in the order of the first sequence of its orbit."""
+    seen = set()
+    for seq in itertools.product(range(num_colors), repeat=p):
+        rep = canonical_orbit(seq)
+        if rep not in seen:
+            seen.add(rep)
+            yield rep
 
 
 def orbit_check_by_sequence(weights, orbit_values, p: int) -> OrbitCheckReport:

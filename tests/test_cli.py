@@ -316,8 +316,8 @@ def test_orbit_check_work_is_refused_before_enumeration():
             (("--p", "103", "--colors", "1"), "p=103 is above the cap 101"),
             (("--p", "3", "--colors", "1", "--trials", "100000000"),
              f"trials=100000000 is above the cap {MAX_ORBIT_WORK}"),
-            (("--p", "11", "--colors", "3"),
-             f"work={orbit_work(3, 11)} is above the cap {MAX_ORBIT_WORK}"),
+            (("--p", "11", "--colors", "10"),
+             f"work={orbit_work(10, 11)} is above the cap {MAX_ORBIT_WORK}"),
             (("--p", "101", "--colors", "9" * 4000),
              f"colors={'9' * 4000} is above the cap {MAX_ORBIT_WORK}")):
         out = run_module("orbit-check", *argv)
@@ -371,7 +371,7 @@ def test_orbit_check_cap_option_raises_the_cap(capsys):
 
 def test_orbit_check_accepts_the_benchmark_inputs(capsys):
     # every (p, colors) the cli_session workload draws, with its largest
-    # trial count, and the largest one-color and p = 3 checks
+    # trial count, the largest one-color checks and 48 colors at p = 3
     for p, colors, trials in ((3, 2, 2), (3, 3, 2), (5, 2, 2), (5, 3, 2), (7, 2, 2),
                               (67, 1, 1), (101, 1, 1), (3, 48, 1)):
         code, out, _ = run(capsys, "orbit-check", "--p", str(p), "--colors", str(colors),

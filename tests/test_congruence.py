@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -6,7 +7,6 @@ import pytest
 from skeincalc import cyclotomic
 from skeincalc.cli import MAX_ORBIT_WORK, main
 from skeincalc.congruence import (
-    canonical_orbit,
     check_kappa_congruence,
     check_kappa_congruence_up_to_phase,
     cm_bound,
@@ -22,8 +22,10 @@ from skeincalc.invariants import cover_invariant
 from skeincalc.skein import kappa
 
 from oracles import (
+    canonical_orbit,
     kappa_order_by_search,
     kappa_residues_by_roots,
+    necklace_orbits_by_rotation,
     orbit_check_by_sequence,
     phase_verdict_by_search,
     random_cycint,
@@ -226,10 +228,11 @@ def test_orbit_check_randomized_ring_instances():
 
 
 def test_orbit_check_matches_the_sequence_by_sequence_sum():
-    # one weight product per color multiset gives the same lhs, rhs and
-    # verdict as multiplying every sequence's weights: ring weights at the
-    # benchmark's (p, colors), int weights, one color, and a composite
-    # length 4, whose orbits of size 2 break the congruence
+    # one weight product per color multiset, each orbit's value counted
+    # once per sequence of the orbit, gives the same lhs, rhs and verdict as
+    # multiplying every sequence's weights: ring weights at the benchmark's
+    # (p, colors), int weights, one color, and the composite lengths 4 and
+    # 6, whose orbits of sizes 2 and 3 break the congruence
     rng = random.Random(49)
 
     def ints():
@@ -237,7 +240,7 @@ def test_orbit_check_matches_the_sequence_by_sequence_sum():
 
     cases = [(p, colors, lambda p=p: random_cycint(rng, ring_modulus(p)))
              for p, colors in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (5, 1))]
-    cases += [(5, 3, ints), (7, 1, ints), (4, 2, ints)]
+    cases += [(5, 3, ints), (7, 1, ints), (4, 2, ints), (6, 2, ints), (6, 3, ints)]
     verdicts = set()
     for p, colors, draw in cases:
         for _ in range(3):
@@ -252,6 +255,22 @@ def test_orbit_check_matches_the_sequence_by_sequence_sum():
     assert verdicts == {True, False}
 
 
+def test_necklace_orbits_match_the_rotation_oracle():
+    # the generator yields the least rotation of each orbit once, in the
+    # order in which the walk over every sequence first meets its orbit:
+    # no colors, one color, lengths 4 and 6 (orbits of every size dividing
+    # them), and (2, 5), whose (0, 1, 0, 1, 1) a block copy of the
+    # periodic extension would skip
+    grid = [(colors, p) for colors in (0, 1, 2, 3) for p in (1, 2, 3, 4, 5, 6, 7)]
+    grid += [(2, 5), (48, 3), (2, 17), (4, 4), (5, 6), (3, 6)]
+    for colors, p in grid:
+        # there are no more orbits than sequences: a generator that ran on
+        # would fail here rather than hang
+        got = list(itertools.islice(necklace_orbits(colors, p), colors ** p + 1))
+        assert got == list(necklace_orbits_by_rotation(colors, p)), (colors, p)
+    assert (0, 1, 0, 1, 1) in necklace_orbits(2, 5)
+
+
 def test_orbit_check_cap(capsys):
     # 10^11 sequences: the command line refuses them with the cap message
     assert orbit_work(10, 11) > MAX_ORBIT_WORK
@@ -262,25 +281,29 @@ def test_orbit_check_cap(capsys):
 
 def test_orbit_work_cap():
     # the largest orbit check the benchmark runs, p = 7 with 3 colors and 2
-    # trials, and the one-color checks up to p = 101 fit the cap
+    # trials, the one-color checks up to p = 101 and 3 colors at p = 11 fit the cap
     assert orbit_work(3, 7, trials=2) <= MAX_ORBIT_WORK
     assert orbit_work(1, 101) <= MAX_ORBIT_WORK
-    for colors, p, trials in ((3, 11, 1), (1, 3, 10 ** 8), (2, 101, 1), (10 ** 30, 3, 1)):
+    assert orbit_work(3, 11) <= MAX_ORBIT_WORK
+    for colors, p, trials in ((10, 11, 1), (1, 3, 10 ** 8), (2, 101, 1), (10 ** 30, 3, 1)):
         assert orbit_work(colors, p, trials) > MAX_ORBIT_WORK, (colors, p, trials)
-    # the figure: p + 10 units a sequence, phi(N)^2 / 6 a ring product, 100 a
-    # trial; the products per multiset and for each color's p-th power
-    assert orbit_work(48, 3) == 48 ** 3 * 13 + (19600 * 3 + 48 * 2 * 2) * 2 ** 2 // 6 + 100
-    assert orbit_work(1, 101) == 111 + (101 + 2 * 7) * 200 ** 2 // 6 + 100
+    # the figure: phi(N) / 3 + 9 units for each of the (colors^p - colors) / p
+    # + colors orbits, phi(N)^2 / 6 a ring product, 100 a trial; the products
+    # per multiset and for each color's p-th power
+    assert orbit_work(48, 3) == 36896 * 9 + (19600 * 3 + 48 * 2 * 2) * 2 ** 2 // 6 + 100
+    assert orbit_work(1, 101) == 1 * 75 + (101 + 2 * 7) * 200 ** 2 // 6 + 100
+    assert orbit_work(3, 11) == 16107 * 12 + (78 * 11 + 3 * 2 * 4) * 10 ** 2 // 6 + 100
     assert orbit_work(3, 7, trials=2) == 2 * orbit_work(3, 7)
 
 
 def test_orbit_work_charges_each_trial_its_own_cost():
     # 55,555 one-color trials at p = 3 took about 4.3 s when a trial was
-    # charged one sequence; a 48-color trial at p = 3 takes about 1.5 s end to end
+    # charged one sequence; a 76-color trial at p = 3 takes about 2 s end to end
     assert orbit_work(1, 3, trials=55555) > MAX_ORBIT_WORK
     most = MAX_ORBIT_WORK // orbit_work(1, 3)
+    assert most == 13274
     assert orbit_work(1, 3, trials=most) <= MAX_ORBIT_WORK < orbit_work(1, 3, trials=most + 1)
-    assert orbit_work(48, 3) <= MAX_ORBIT_WORK < orbit_work(49, 3)
+    assert orbit_work(76, 3) <= MAX_ORBIT_WORK < orbit_work(77, 3)
 
 
 def test_canonical_orbit():

@@ -201,3 +201,16 @@ def test_residue_table_builds_no_ring_element():
                           else [node.attr] if isinstance(node, ast.Attribute) else [])
              if name in banned]
     assert not found, f"ring elements in kappa_residues: {found}"
+
+
+def test_orbits_are_generated_not_found_by_rotation():
+    # orbit-check visits each orbit once through necklace_orbits; the least
+    # rotation of every sequence and the walk over every sequence are test
+    # oracles (tests/oracles.py)
+    found = _banned_names({"canonical_orbit", "necklace_orbits_by_rotation"})
+    assert not found, f"per-sequence orbit search in the package: {found}"
+    tree = ast.parse((SOURCE / "congruence.py").read_text(), "congruence.py")
+    imports = [f"congruence.py:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Import) and any(a.name == "itertools" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "itertools"]
+    assert not imports, f"itertools imported by congruence: {imports}"
