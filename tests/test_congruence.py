@@ -298,7 +298,7 @@ def test_orbit_work_cap():
 
 def test_orbit_work_charges_each_trial_its_own_cost():
     # 55,555 one-color trials at p = 3 took about 4.3 s when a trial was
-    # charged one sequence; a 76-color trial at p = 3 takes about 2 s end to end
+    # charged one sequence; a 76-color trial at p = 3 takes about 1.7 s end to end
     assert orbit_work(1, 3, trials=55555) > MAX_ORBIT_WORK
     most = MAX_ORBIT_WORK // orbit_work(1, 3)
     assert most == 13274
