@@ -51,7 +51,8 @@ MAX_COORD_DIGITS = 40
 # with 2-digit orders (3.6-4.7 s at 1,000 digits)
 MAX_ORDER_DIGITS = 200
 # the most congruence.orbit_work units (about 1 us each) that orbit-check accepts: its
-# slowest accepted input, --p 3 --colors 48 --trials 4, takes about 1.8 s end to end on 2 CPUs
+# slowest accepted inputs, such as --p 7 --colors 2 --trials 2396 or --p 3 --colors 77,
+# take about 2 s end to end on 2 CPUs
 MAX_ORBIT_WORK = 1_500_000
 
 

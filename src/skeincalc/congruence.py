@@ -166,14 +166,14 @@ def orbit_work(colors: int, p: int, trials: int = 1) -> int:
     """The work of trials orbit checks of colors^p sequences at the prime p,
     in units of about 1 us on a 2-CPU machine: phi(N) / 3 + 9 units for
     each of the (colors^p - colors) / p + colors orbits (its random value,
-    representative and multiset key), phi(N)^2 / 6 per ring product and 100
+    representative and multiset key), phi(N)^2 / 8 per ring product and 100
     per trial for its weights.  A trial makes comb(colors + p - 1, p) * p
     products for the multisets and 2 * bit_length(p) per color for p-th powers.
     """
     phi = euler_phi(ring_modulus(p))
     orbits = (colors ** p - colors) // p + colors
     products = math.comb(colors + p - 1, p) * p + colors * 2 * p.bit_length()
-    return trials * (orbits * (phi // 3 + 9) + products * phi * phi // 6 + 100)
+    return trials * (orbits * (phi // 3 + 9) + products * phi * phi // 8 + 100)
 
 
 class OrbitCheckReport:

@@ -5,10 +5,11 @@ Everything over Z runs through one kernel, `_clear_leading`, which clears
 the leading column of a list of rows by unimodular 2x2 row operations.  A
 column operation is the same kernel applied to the transpose.
 `diagonal_entries` and `cokernel` reduce the bare matrix and read its last
-two pivots off the determinantal divisors.  `in_span` reduces the columns
-one coordinate at a time, in a group Z^a + Z/p^t1 + Z/p^t2 + ...: a Z
-coordinate by the kernel, a Z/p^t coordinate by one pivot of least
-p-adic valuation, with no Euclid rounds.
+pivots off the determinantal divisors once at most two rows or columns, or
+a 3x3 block, are left.  `in_span` reduces the columns one coordinate at a
+time, in a group Z^a + Z/p^t1 + Z/p^t2 + ...: a Z coordinate by the kernel,
+a Z/p^t coordinate by one pivot of least p-adic valuation, with no Euclid
+rounds.
 """
 
 from __future__ import annotations
@@ -61,12 +62,13 @@ def _clear_leading(rows: list[list[int]]) -> None:
 def _tail(X) -> list[int]:
     """Nonzero Smith pivots of a matrix with one or two columns.
 
-    They are read off the determinantal divisors: d1 is the gcd of the
-    entries and d1*d2 the gcd of the 2x2 minors, which is a*c for a basis
-    (a, b), (0, c) of the row lattice.  A row (x, y) joins that basis with
-    a' = gcd(a, x) and c' = gcd(c, (a*y - b*x) / a'); b' comes from the
-    extended gcd, and the last row needs none, since then
-    d1 = gcd(a', b, c', y).  O(rows) in all.
+    `_diagonalise` calls it once at most two rows or columns are left (a
+    3x3 block goes to `_tail3`).  The pivots are read off the determinantal
+    divisors: d1 is the gcd of the entries and d1*d2 the gcd of the 2x2
+    minors, which is a*c for a basis (a, b), (0, c) of the row lattice.  A
+    row (x, y) joins that basis with a' = gcd(a, x) and
+    c' = gcd(c, (a*y - b*x) / a'); b' comes from the extended gcd, and the
+    last row needs none, since then d1 = gcd(a', b, c', y).  O(rows) in all.
     """
     if len(X[0]) == 1:
         d1 = math.gcd(*(row[0] for row in X))
@@ -94,20 +96,40 @@ def _tail(X) -> list[int]:
     return [d1, g * c // d1] if g and c else [d1]
 
 
+def _tail3(X) -> list[int]:
+    """Nonzero Smith pivots of a 3x3 matrix, from its determinantal divisors:
+    d1 the gcd of the entries, d2 the gcd of the 2x2 minors and d3 = |det|,
+    expanded along the first row with three of those minors."""
+    (a, b, c), (d, e, f), (g, h, i) = X
+    d1 = math.gcd(a, b, c, d, e, f, g, h, i)
+    m1, m2, m3 = e * i - f * h, d * i - f * g, d * h - e * g
+    d2 = math.gcd(m1, m2, m3, b * i - c * h, a * i - c * g, a * h - b * g,
+                  b * f - c * e, a * f - c * d, a * e - b * d)
+    if not d2:
+        return [d1] if d1 else []
+    d3 = abs(a * m1 - b * m2 + c * m3)
+    return [d1, d2 // d1, d3 // d2] if d3 else [d1, d2 // d1]
+
+
 def _diagonalise(X: list[list[int]]) -> list[int]:
     """Diagonal of the Smith form of X, before the divisibility chain.
 
     Alternates row and column passes of the kernel, peeling off a finished
     pivot row and column whenever the pivot divides the rest of its row:
     clearing that row only changes the row itself.  A zero leading column is
-    set aside.  The pivots are positive, and once at most two rows or
-    columns are left `_tail` gives the last of them.
+    set aside.  The pivots are positive.  Once at most two rows or columns
+    are left `_tail` gives the last of them, and once a 3x3 block is left
+    `_tail3` does: on a square matrix that saves the kernel call on the
+    column of height 3, the dearest one, as its entries have grown most.
     """
     pivots = []
     while X and X[0]:
         w = len(X[0])
         if w <= 2 or len(X) <= 2:
             pivots += _tail(X if w <= 2 else list(zip(*X)))
+            break
+        if w == 3 and len(X) == 3:
+            pivots += _tail3(X)
             break
         _clear_leading(X)
         top = X[0]

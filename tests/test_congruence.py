@@ -281,29 +281,30 @@ def test_orbit_check_cap(capsys):
 
 def test_orbit_work_cap():
     # the largest orbit check the benchmark runs, p = 7 with 3 colors and 2
-    # trials, the one-color checks up to p = 101 and 3 colors at p = 11 fit the cap
+    # trials, the one-color checks up to p = 101 (two trials at p = 101, about
+    # 1.2 s in process) and 3 colors at p = 11 fit the cap
     assert orbit_work(3, 7, trials=2) <= MAX_ORBIT_WORK
-    assert orbit_work(1, 101) <= MAX_ORBIT_WORK
+    assert orbit_work(1, 101, trials=2) <= MAX_ORBIT_WORK < orbit_work(1, 101, trials=3)
     assert orbit_work(3, 11) <= MAX_ORBIT_WORK
     for colors, p, trials in ((10, 11, 1), (1, 3, 10 ** 8), (2, 101, 1), (10 ** 30, 3, 1)):
         assert orbit_work(colors, p, trials) > MAX_ORBIT_WORK, (colors, p, trials)
     # the figure: phi(N) / 3 + 9 units for each of the (colors^p - colors) / p
-    # + colors orbits, phi(N)^2 / 6 a ring product, 100 a trial; the products
+    # + colors orbits, phi(N)^2 / 8 a ring product, 100 a trial; the products
     # per multiset and for each color's p-th power
-    assert orbit_work(48, 3) == 36896 * 9 + (19600 * 3 + 48 * 2 * 2) * 2 ** 2 // 6 + 100
-    assert orbit_work(1, 101) == 1 * 75 + (101 + 2 * 7) * 200 ** 2 // 6 + 100
-    assert orbit_work(3, 11) == 16107 * 12 + (78 * 11 + 3 * 2 * 4) * 10 ** 2 // 6 + 100
+    assert orbit_work(48, 3) == 36896 * 9 + (19600 * 3 + 48 * 2 * 2) * 2 ** 2 // 8 + 100
+    assert orbit_work(1, 101) == 1 * 75 + (101 + 2 * 7) * 200 ** 2 // 8 + 100 == 575175
+    assert orbit_work(3, 11) == 16107 * 12 + (78 * 11 + 3 * 2 * 4) * 10 ** 2 // 8 + 100
     assert orbit_work(3, 7, trials=2) == 2 * orbit_work(3, 7)
 
 
 def test_orbit_work_charges_each_trial_its_own_cost():
     # 55,555 one-color trials at p = 3 took about 4.3 s when a trial was
-    # charged one sequence; a 76-color trial at p = 3 takes about 1.7 s end to end
+    # charged one sequence; a 77-color trial at p = 3 takes about 1.8 s end to end
     assert orbit_work(1, 3, trials=55555) > MAX_ORBIT_WORK
     most = MAX_ORBIT_WORK // orbit_work(1, 3)
-    assert most == 13274
+    assert most == 13392
     assert orbit_work(1, 3, trials=most) <= MAX_ORBIT_WORK < orbit_work(1, 3, trials=most + 1)
-    assert orbit_work(76, 3) <= MAX_ORBIT_WORK < orbit_work(77, 3)
+    assert orbit_work(77, 3) <= MAX_ORBIT_WORK < orbit_work(78, 3)
 
 
 def test_canonical_orbit():

@@ -162,6 +162,34 @@ def oracle_cases():
     v = [rng.randint(-9, 9) for _ in range(2)]
     cases.append([[c * x for x in v] for c in (rng.randint(-9, 9) for _ in range(1000))])
     cases.append([[rng.randint(-9, 9), 7 * rng.randint(-9, 9)] for _ in range(1000)])
+    # a 3x3 block is read off d1, d2 and d3 = |det|: full rank with d1 > 1,
+    # rank 2, 1 and 0, a zero row and a zero column, entries up to 10^30
+    for bound in (9, 10 ** 30):
+        for d1 in (2, 6, 35):
+            cases.append([[d1 * x for x in row] for row in random_matrix(rng, 3, 3, bound)])
+        a = random_matrix(rng, 3, 3, bound)
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        a[2] = [x * u + y * v for u, v in zip(a[0], a[1])]
+        v = [rng.randint(-bound, bound) for _ in range(3)]
+        rank_one = [[c * x for x in v] for c in (rng.randint(-5, 5) for _ in range(3))]
+        zero_row = random_matrix(rng, 3, 3, bound)
+        zero_row[1] = [0, 0, 0]
+        zero_col = [[x, y, 0] for x, y, _ in random_matrix(rng, 3, 3, bound)]
+        cases += [a, rank_one, zero_row, zero_col, [[0] * 3 for _ in range(3)]]
+    # n x n whose last 3x3 block has invariants > 1: diag(1, ..., 1, B) moved
+    # by unimodular row and column operations
+    for n in range(4, 9):
+        for block in ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [[2, 4, 6], [4, 8, 12], [6, 12, 18]],
+                      [[3 * x for x in row] for row in random_matrix(rng, 3, 3)]):
+            a = [[int(i == j) for j in range(n)] for i in range(n - 3)]
+            a += [[0] * (n - 3) + row for row in block]
+            for _ in range(2 * n):
+                i, j = rng.sample(range(n), 2)
+                q = rng.randint(-3, 3)
+                a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+                for row in a:
+                    row[j] += q * row[i]
+            cases.append(a)
     return cases
 
 
@@ -181,6 +209,24 @@ def test_kernel_entries_stay_below_the_determinant(monkeypatch):
         widest.clear()
         cokernel(a)
         assert widest and max(widest) <= abs(int(det(a))).bit_length(), (n, seed)
+
+
+def test_a_3x3_block_needs_no_kernel_call(monkeypatch):
+    # with unit pivots and no transpose an n x n matrix peels n - 3 rows by
+    # the kernel and reads the last 3x3 block off its determinantal divisors
+    kernel = intlinalg._clear_leading
+    pivots = []
+
+    def counted(rows):
+        kernel(rows)
+        pivots.append(rows[0][0])
+
+    monkeypatch.setattr(intlinalg, "_clear_leading", counted)
+    for n, seed in ((4, 1), (5, 0), (6, 0), (7, 0), (8, 0)):
+        a = random_matrix(random.Random(seed), n, n, 20)
+        pivots.clear()
+        assert diagonal_entries(a) == oracle_diagonal(a)
+        assert len(pivots) == n - 3 and all(x in (1, -1) for x in pivots), (n, pivots)
 
 
 def oracle_diagonal(a):
