@@ -60,15 +60,14 @@ def _clear_leading(rows: list[list[int]]) -> None:
 
 
 def _tail(X) -> list[int]:
-    """Nonzero Smith pivots of a matrix with one or two columns.
+    """Nonzero Smith pivots of a matrix with one or two columns (3x3: `_tail3`).
 
-    `_diagonalise` calls it once at most two rows or columns are left (a
-    3x3 block goes to `_tail3`).  The pivots are read off the determinantal
-    divisors: d1 is the gcd of the entries and d1*d2 the gcd of the 2x2
-    minors, which is a*c for a basis (a, b), (0, c) of the row lattice.  A
-    row (x, y) joins that basis with a' = gcd(a, x) and
-    c' = gcd(c, (a*y - b*x) / a'); b' comes from the extended gcd, and the
-    last row needs none, since then d1 = gcd(a', b, c', y).  O(rows) in all.
+    They are read off the determinantal divisors: d1 is the gcd of the
+    entries and d1*d2 the gcd of the 2x2 minors, which is a*c for a basis
+    (a, b), (0, c) of the row lattice.  A row (x, y) joins that basis with
+    a' = gcd(a, x) and c' = gcd(c, (a*y - b*x) / a'); b' comes from the
+    extended gcd, and the last row needs none, since then
+    d1 = gcd(a', b, c', y).  O(rows) in all.
     """
     if len(X[0]) == 1:
         d1 = math.gcd(*(row[0] for row in X))
@@ -117,10 +116,9 @@ def _diagonalise(X: list[list[int]]) -> list[int]:
     Alternates row and column passes of the kernel, peeling off a finished
     pivot row and column whenever the pivot divides the rest of its row:
     clearing that row only changes the row itself.  A zero leading column is
-    set aside.  The pivots are positive.  Once at most two rows or columns
-    are left `_tail` gives the last of them, and once a 3x3 block is left
-    `_tail3` does: on a square matrix that saves the kernel call on the
-    column of height 3, the dearest one, as its entries have grown most.
+    set aside.  The pivots are positive; `_tail` gives the last of them once
+    at most two rows or columns are left, and `_tail3` those of a 3x3 block,
+    which saves a square matrix its dearest kernel call, at height 3.
     """
     pivots = []
     while X and X[0]:

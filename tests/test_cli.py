@@ -98,21 +98,18 @@ def test_homology_subcommand(capsys):
     assert out.strip() == "Z_5 ⊕ Z_5"
     code, out, _ = run(capsys, "homology", "--matrix", "0,5;5,5", "--json")
     assert json.loads(out)["homology"] == {"free_rank": 0, "torsion": [5, 5]}
-
-
-@pytest.mark.parametrize("matrix, text, free_rank, torsion", [
-    # full rank whose chain is not its diagonal, rank 2 and rank 1
-    ("6,0,0;0,10,0;0,0,15", "Z_30 ⊕ Z_30", 0, "[30, 30]"),
-    ("1,2,3;4,5,6;7,8,9", "Z ⊕ Z_3", 1, "[3]"),
-    ("2,4,6;4,8,12;6,12,18", "Z^2 ⊕ Z_2", 2, "[2]"),
-])
-def test_homology_of_3x3_matrices(capsys, matrix, text, free_rank, torsion):
-    code, out, _ = run(capsys, "homology", "--matrix", matrix)
-    assert code == 0 and out == text + "\n"
-    code, out, _ = run(capsys, "homology", "--matrix", matrix, "--json")
-    assert code == 0
-    assert out == ('{"homology": {"free_rank": %d, "torsion": %s}, "matrix": "%s"}\n'
-                   % (free_rank, torsion, matrix))
+    # 3x3 matrices, read off their determinantal divisors: full rank whose
+    # chain is not its diagonal, rank 2 and rank 1
+    for matrix, text, free_rank, torsion in (
+            ("6,0,0;0,10,0;0,0,15", "Z_30 ⊕ Z_30", 0, "[30, 30]"),
+            ("1,2,3;4,5,6;7,8,9", "Z ⊕ Z_3", 1, "[3]"),
+            ("2,4,6;4,8,12;6,12,18", "Z^2 ⊕ Z_2", 2, "[2]")):
+        code, out, _ = run(capsys, "homology", "--matrix", matrix)
+        assert code == 0 and out == text + "\n"
+        code, out, _ = run(capsys, "homology", "--matrix", matrix, "--json")
+        assert code == 0
+        assert out == ('{"homology": {"free_rank": %d, "torsion": %s}, "matrix": "%s"}\n'
+                       % (free_rank, torsion, matrix))
 
 
 def test_cover_analyze(capsys):
