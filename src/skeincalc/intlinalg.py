@@ -4,9 +4,9 @@ Matrices are lists of lists of arbitrary-precision ints; no floating point.
 Everything over Z runs through one kernel, `_clear_leading`, which clears
 the leading column of a list of rows by unimodular 2x2 row operations.  A
 column operation is the same kernel applied to the transpose.
-`diagonal_entries` and `cokernel` reduce the bare matrix and read its last
-pivots off the determinantal divisors once at most two rows or columns, or
-a 3x3 block, are left.  `in_span` reduces the columns one coordinate at a
+`diagonal_entries` and `cokernel` reduce the bare matrix by the kernel, of
+any shape, and read the pivots of a final 3x3 block off its determinantal
+divisors.  `in_span` reduces the columns one coordinate at a
 time, in a group Z^a + Z/p^t1 + Z/p^t2 + ...: a Z coordinate by the kernel,
 a Z/p^t coordinate by one pivot of least p-adic valuation, with no Euclid
 rounds.
@@ -59,42 +59,6 @@ def _clear_leading(rows: list[list[int]]) -> None:
                     k, best = i, b
 
 
-def _tail(X) -> list[int]:
-    """Nonzero Smith pivots of a matrix with one or two columns (3x3: `_tail3`).
-
-    They are read off the determinantal divisors: d1 is the gcd of the
-    entries and d1*d2 the gcd of the 2x2 minors, which is a*c for a basis
-    (a, b), (0, c) of the row lattice.  A row (x, y) joins that basis with
-    a' = gcd(a, x) and c' = gcd(c, (a*y - b*x) / a'); b' comes from the
-    extended gcd, and the last row needs none, since then
-    d1 = gcd(a', b, c', y).  O(rows) in all.
-    """
-    if len(X[0]) == 1:
-        d1 = math.gcd(*(row[0] for row in X))
-        return [d1] if d1 else []
-    a = b = c = 0
-    for x, y in X[:-1]:
-        if not x:
-            c = math.gcd(c, y)
-        elif not a:
-            a, b = x, y
-        else:
-            g = math.gcd(a, x)
-            c = math.gcd(c, (a * y - b * x) // g)
-            if g != a and g != -a:
-                s = pow(a // g, -1, x // g)
-                a, b = g, s * b + (g - s * a) // x * y
-                if c:
-                    b %= c
-    x, y = X[-1]
-    g = math.gcd(a, x)
-    c = math.gcd(c, (a * y - b * x) // g if g else y)
-    d1 = math.gcd(g, b, c, y)
-    if not d1:
-        return []
-    return [d1, g * c // d1] if g and c else [d1]
-
-
 def _tail3(X) -> list[int]:
     """Nonzero Smith pivots of a 3x3 matrix, from its determinantal divisors:
     d1 the gcd of the entries, d2 the gcd of the 2x2 minors and d3 = |det|,
@@ -116,24 +80,21 @@ def _diagonalise(X: list[list[int]]) -> list[int]:
     Alternates row and column passes of the kernel, peeling off a finished
     pivot row and column whenever the pivot divides the rest of its row:
     clearing that row only changes the row itself.  A zero leading column is
-    set aside.  The pivots are positive; `_tail` gives the last of them once
-    at most two rows or columns are left, and `_tail3` those of a 3x3 block,
-    which saves a square matrix its dearest kernel call, at height 3.
+    set aside, and so are the rows that are zero once it is gone; a zero row
+    kept would cost one kernel call per column.  The pivots are positive;
+    `_tail3` gives those of a final 3x3 block, which saves a square matrix
+    its dearest kernel call, at height 3.
     """
     pivots = []
     while X and X[0]:
-        w = len(X[0])
-        if w <= 2 or len(X) <= 2:
-            pivots += _tail(X if w <= 2 else list(zip(*X)))
-            break
-        if w == 3 and len(X) == 3:
+        if len(X) == 3 and len(X[0]) == 3:
             pivots += _tail3(X)
             break
         _clear_leading(X)
         top = X[0]
         a = top[0]
         if not a:
-            X = [x[1:] for x in X]
+            X = [x[1:] for x in X if any(x)]
         elif a not in (1, -1) and any(x % a for x in top[1:]):
             X = [list(col) for col in zip(*X)]
         else:

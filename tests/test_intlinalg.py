@@ -146,8 +146,8 @@ def oracle_cases():
                 for row in a:
                     row[j] = 0
         cases.append(a)
-    # the tail reads the last two pivots off the determinantal divisors:
-    # h x 2 and 2 x h, full rank, rank one, with a zero column, all zero
+    # thin blocks go through the kernel like any other shape: h x 2 and
+    # 2 x h, full rank, rank one, with a zero column, all zero
     for h in (1, 2, 3, 5, 9, 17, 33, 60):
         for bound in (1, 9, 10 ** 30):
             a = random_matrix(rng, h, 2, bound)
@@ -158,10 +158,15 @@ def oracle_cases():
                 cases += [b, [list(col) for col in zip(*b)]]
         cases.append([[0, 0] for _ in range(h)])
     # tall blocks whose minors' gcd never reaches d1**2: rank one, and
-    # d2 = 7 d1; the row-lattice basis keeps them linear in the height
+    # d2 = 7 d1; a zero row leaves once its column is zero, so the kernel
+    # calls stay few however tall the block
     v = [rng.randint(-9, 9) for _ in range(2)]
     cases.append([[c * x for x in v] for c in (rng.randint(-9, 9) for _ in range(1000))])
     cases.append([[rng.randint(-9, 9), 7 * rng.randint(-9, 9)] for _ in range(1000)])
+    # a 1 x 60 row and a 60 x 1 column of 25-digit entries, a 60 x 60 zero
+    big = 10 ** 25
+    cases += [random_matrix(rng, 1, 60, big), random_matrix(rng, 60, 1, big),
+              [[0] * 60 for _ in range(60)]]
     # a 3x3 block is read off d1, d2 and d3 = |det|: full rank with d1 > 1,
     # rank 2, 1 and 0, a zero row and a zero column, entries up to 10^30
     for bound in (9, 10 ** 30):
@@ -194,8 +199,8 @@ def oracle_cases():
 
 
 def test_kernel_entries_stay_below_the_determinant(monkeypatch):
-    # rounded quotients and the two-column tail keep every entry the
-    # kernel leaves no wider than det(a)
+    # rounded quotients keep every entry the kernel leaves no wider than
+    # det(a)
     kernel = intlinalg._clear_leading
     widest = []
 
@@ -227,6 +232,42 @@ def test_a_3x3_block_needs_no_kernel_call(monkeypatch):
         pivots.clear()
         assert diagonal_entries(a) == oracle_diagonal(a)
         assert len(pivots) == n - 3 and all(x in (1, -1) for x in pivots), (n, pivots)
+
+
+def thin_blocks():
+    """Seeded h x 1 and h x 2 blocks, h = 2, 60 and 1000: full rank (25-digit
+    entries up to h = 60), rank one, with a zero column, all zero."""
+    rng = random.Random(13)
+    for h in (2, 60, 1000):
+        for w in (1, 2):
+            a = random_matrix(rng, h, w, 10 ** 25 if h <= 60 else 9)
+            v = [rng.randint(-9, 9) for _ in range(w)]
+            rank_one = [[c * x for x in v] for c in (rng.randint(-9, 9) for _ in range(h))]
+            zero_col = [row[:-1] + [0] for row in a]
+            yield from (a, rank_one, zero_col, [[0] * w for _ in range(h)])
+
+
+def test_thin_blocks_need_few_kernel_calls(monkeypatch):
+    # a zero row leaves once its column is zero; kept, a rank-one 1000 x 2
+    # block would shed one column of its leftover zero row per kernel call
+    kernel = intlinalg._clear_leading
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        kernel(rows)
+
+    monkeypatch.setattr(intlinalg, "_clear_leading", counted)
+    for a in thin_blocks():
+        # a block and its transpose, 1 x h and 2 x h, share their Smith form
+        diag = oracle_diagonal(a)
+        for b in (a, [list(col) for col in zip(*a)]):
+            calls.clear()
+            assert diagonal_entries(b) == diag
+            assert len(calls) <= 8, (len(b), len(b[0]), calls)
+    calls.clear()
+    assert diagonal_entries([[0] * 60 for _ in range(60)]) == []
+    assert len(calls) == 1
 
 
 def oracle_diagonal(a):
