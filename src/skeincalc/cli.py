@@ -25,10 +25,10 @@ MAX_P = 101
 # the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 0.1 s end
 # to end on a 2-CPU machine, of which about 0.06 s is interpreter start
 MAX_N = 1000
-# the most rows or columns that homology accepts: a random 60x60 matrix takes
-# about 0.08 s end to end with one-digit entries, 1.1 s with 25-digit entries
-# and 1.6 s with the 33-digit entries that fill a 128 KiB argument, on a
-# 2-CPU machine where python -c pass takes 0.03 s
+# the most rows or columns that homology accepts: a random 60x60 matrix of
+# 25-digit entries takes about 1.5 s end to end on a 2-CPU machine where
+# python -c pass takes 0.05 s; the slowest thin shapes, h x 3 and 3 x h, take
+# at most about 5 ms in process
 MAX_MATRIX_DIM = 60
 # the most decimal digits in a homology matrix entry, counted on the literal;
 # each Euclid round of the elimination updates a row of such integers, and by

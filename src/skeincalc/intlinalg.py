@@ -6,10 +6,9 @@ the leading column of a list of rows by unimodular 2x2 row operations.  A
 column operation is the same kernel applied to the transpose.
 `diagonal_entries` and `cokernel` reduce the bare matrix by the kernel, of
 any shape, and read the pivots of a final 3x3 block off its determinantal
-divisors.  `in_span` reduces the columns one coordinate at a
-time, in a group Z^a + Z/p^t1 + Z/p^t2 + ...: a Z coordinate by the kernel,
-a Z/p^t coordinate by one pivot of least p-adic valuation, with no Euclid
-rounds.
+divisors.  `in_span` reduces the columns one coordinate at a time, in a
+group Z^a + Z/p^t1 + Z/p^t2 + ...: a Z coordinate by the kernel, a Z/p^t
+coordinate by one pivot of least p-adic valuation, with no Euclid rounds.
 """
 
 from __future__ import annotations
