@@ -19,8 +19,9 @@ from types import SimpleNamespace
 from .cyclotomic import is_prime
 from .errors import CalcError, TooLargeError
 
-# the largest p that valuation, hopf and orbit-check accept: valuation --p 101
-# takes about 0.07 s end to end on a 2-CPU machine, 2 ms more than --p 5
+# the largest p that every command with a --p accepts: valuation --p 101 takes
+# about 0.07 s end to end on a 2-CPU machine, 2 ms more than --p 5, and
+# invariant --p 101 about 0.03 s more than invariant --p 7
 MAX_P = 101
 # the largest n that hopf accepts: hopf --p 101 --n 1000 takes about 0.1 s end
 # to end on a 2-CPU machine, of which about 0.06 s is interpreter start
@@ -202,8 +203,8 @@ def _emit(args, record: dict, text_lines) -> None:
 # The type converts one value, but bool marks a flag and list zero or more
 # literals.  Every command also takes -h and --json.
 COMMANDS = {
-    "invariant": ("invariant", "cover invariant, residue verdict and valuation (p = 5, 7)",
-                  {"--p": (_prime_arg(5), REQUIRED, "5 or 7")}),
+    "invariant": ("invariant", "cover invariant, residue verdict and valuation",
+                  {"--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}")}),
     "hopf": ("hopf", "bracket of n +1-framed Hopf fibers", {
         "--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}"),
         "--n": (_nonneg, REQUIRED, f"number of fibers, at most {MAX_N}")}),

@@ -1,12 +1,13 @@
 """invariant: the cover invariant, its residue verdict, valuation and base homology."""
 
 from .. import congruence, invariants, skein
-from ..cli import _emit
+from ..cli import MAX_P, _check_cap, _emit
 from ..cyclotomic import ring_modulus
 
 
 def run(args) -> int:
     p = args.p
+    _check_cap("p", p, MAX_P)
     value = invariants.cover_invariant(p)
     verdict = congruence.check_kappa_congruence(value, p)
     v = invariants.cover_invariant_valuation(p)

@@ -13,10 +13,6 @@ class ModulusMismatchError(CalcError):
     """Two cyclotomic values from different rings were combined."""
 
 
-class UnsupportedPrimeError(CalcError):
-    """The requested constant is pinned only for specific primes."""
-
-
 class NonIntegralError(CalcError):
     """A denominator-free value was required but the reduced k is positive."""
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import skeincalc
 
 from .cyclotomic import CycNum, from_int, ring_modulus, valuation
-from .errors import InconsistencyError, ModulusMismatchError, UnsupportedPrimeError
+from .errors import InconsistencyError, ModulusMismatchError
 
 
 class HopfSatellite:
@@ -66,17 +66,13 @@ def bracket_satellite(sat: HopfSatellite) -> CycNum:
 
 
 def cover_invariant(p: int) -> CycNum:
-    """Normalized invariant of the surgered p-fold cover at p in {5, 7}.
+    """Normalized invariant of the surgered p-fold cover, for any p >= 5.
 
     eta^(p+2) times the satellite bracket <omega>**p with the surgery
     element on all p + 1 components; as eta^2 <omega> = 1 that is
-    eta * <omega>**((p-1)/2).  Other primes have no pinned signed eta; use
-    cover_invariant_valuation instead.
+    eta * <omega>**((p-1)/2).
     """
     skein = skeincalc.skein
-    if not skein.phase_pinned(p):
-        raise UnsupportedPrimeError(
-            f"exact invariant needs the signed eta, pinned only for p in {{5, 7}}")
     return skein.eta(p) * skein.omega_bracket(p) ** ((p - 1) // 2)
 
 

@@ -13,11 +13,11 @@ Conventions (all verified by the test suite):
   * the surgery element is omega(p) = sum of (-1)^k [k+1] e_k.
 
 Every sum of powers of A (A**e, delta, [k], <omega>, eta^2, H_n, the
-weights) is one vector reduced once by _A_sum.  An element is only ever evaluated at the
-points z_j = -(A^2j + A^-2j) (point_eval, by Clenshaw's recurrence); z_1 =
-delta gives plane_eval.  A bracket of +1-twisted cables,
-L(f) = plane_eval(twist(f, 1)), is the sum of w_j f(z_j), j = 1 .. (p-1)/2,
-over the closed-form weights of hopf_weights.
+weights, eta up to a factor i) is one vector reduced once by _A_sum.  An
+element is only ever evaluated at the points z_j = -(A^2j + A^-2j)
+(point_eval, by Clenshaw's recurrence); z_1 = delta gives plane_eval.  A
+bracket of +1-twisted cables, L(f) = plane_eval(twist(f, 1)), is the sum of
+w_j f(z_j), j = 1 .. (p-1)/2, over the closed-form weights of hopf_weights.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import CycInt, CycNum, euler_phi, from_int, ring_modulus, root
-from .errors import ModulusMismatchError, UnsupportedPrimeError
+from .errors import ModulusMismatchError
 
 
 def _A_sum(p: int, terms) -> CycInt:
@@ -212,27 +212,22 @@ def hopf_bracket(p: int, n: int) -> CycInt:
                       for s in range(2 * p) if c[s] for i in range(s)])
 
 
-_ETA_EXACT = {
-    # 1/5 (2 zeta20 + zeta20^3 + zeta20^5 - 3 zeta20^7)
-    5: ((0, 2, 0, 1, 0, 1, 0, -3), 1),
-    # 1/7 (-2 - zeta14^2 - 2 zeta14^3 + 2 zeta14^4 + zeta14^5)
-    7: ((-2, 0, -1, -2, 2, 1), 1),
-}
-
-
 def eta(p: int) -> CycNum:
-    """The signed normalization scalar; pinned exactly only at p = 5 and 7.
+    """The signed normalization scalar e (A^2 - A^-2) G / p, at every odd prime p.
 
-    Both constants satisfy eta * plane_eval(twist(omega, 1)) = kappa (a
-    +1-surgered unknot is a sphere of weight one) and square to eta_squared.
-    For other primes only the square is determined by the normalization
-    (see eta_squared); requesting the signed value raises.
+    G = sum over a < p of (a/p) A^(2a) is the quadratic Gauss sum, times
+    i = zeta_N^p when p = 1 (mod 4); G^2 = (-1)^((p-1)/2) p makes that
+    sqrt(-p), so the square is -(A^2 - A^-2)^2 / p = eta_squared(p).  The
+    sign e = +1 for p = 7 (mod 8) and -1 otherwise is the one with
+    eta * plane_eval(twist(omega, 1)) = kappa (a +1-surgered unknot is a
+    sphere of weight one).
     """
-    if p not in _ETA_EXACT:
-        raise UnsupportedPrimeError(
-            f"signed eta is pinned only for p in {{5, 7}}; use eta_squared for p={p}")
-    coeffs, k = _ETA_EXACT[p]
-    return CycNum(CycInt(ring_modulus(p), coeffs), p, k)
+    e = 1 if p % 8 == 7 else -1
+    x = _A_sum(p, [(e * s * (1 if pow(a, (p - 1) // 2, p) == 1 else -1), 2 * a + 2 * s)
+                   for a in range(1, p) for s in (1, -1)])
+    if p % 4 == 1:
+        x = x * root(ring_modulus(p), p)
+    return CycNum(x, p, 1)
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +251,7 @@ def kappa_root_exponent(p: int) -> int:
     """t with kappa = zeta_N^t, a square root of A^e, e = kappa_exponent(p).
 
     For p = 1 (mod 4), A = zeta_N^2 and t = e; else A = zeta_N, e is even
-    mod 2p and t = (e mod 2p)/2.  The sign is pinned only at p = 5, 7.
+    mod 2p and t = (e mod 2p)/2.  The sign of eta is fitted to this root.
     """
     e = kappa_exponent(p)
     return e if p % 4 == 1 else (e % (2 * p)) // 2
@@ -275,5 +270,5 @@ def kappa_order(p: int) -> int:
 
 
 def phase_pinned(p: int) -> bool:
-    """Whether the sign of kappa (and eta) is fixed rather than a choice."""
-    return p in _ETA_EXACT
+    """Whether a published display of the invariant exists at p (p = 5, 7)."""
+    return p in (5, 7)

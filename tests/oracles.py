@@ -45,10 +45,12 @@ representative per orbit by the Fredricksen-Kessler-Maiorana algorithm.
 Phi_N is found by dividing
 x^N - 1 by every Phi_d, d | N, d < N, and a vector is reduced modulo it by
 long division, where the package folds t^N = 1, t^(N/2) = -1 and
-Phi_p(s x^m) = 0 in closed form.  The command line is read by argparse,
-where the package reads it from its own option table.  Skein elements are
-printed and read as JSON only here; no command prints one, and the
-elements of a Wall form's group are listed only here, for exhaustive tests.
+Phi_p(s x^m) = 0 in closed form.  The signed eta at p = 5, 7 is the
+published constant, where the package sums a quadratic Gauss sum.  The
+command line is read by argparse, where the package reads it from its own
+option table.  Skein elements are printed and read as JSON only here; no
+command prints one, and the elements of a Wall form's group are listed only
+here, for exhaustive tests.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from skeincalc.cyclotomic import (
 from skeincalc.errors import CalcError, InconsistencyError, ModulusMismatchError
 from skeincalc.intlinalg import _clear_leading, _rows, in_span
 from skeincalc.linkform import TorsionElement, _iroot, dual_element
-from skeincalc.skein import (A_power, SkeinElem, delta, eta, eta_squared, hopf_weights, kappa,
+from skeincalc.skein import (A_power, SkeinElem, delta, eta_squared, hopf_weights, kappa,
                              kappa_order, kappa_root_exponent, omega, plane_eval)
 
 
@@ -484,9 +486,16 @@ def surgery_bracket(p: int) -> CycNum:
     return plane_eval(omega(p)) ** p
 
 
+# the published signed eta: 1/5 (2 zeta20 + zeta20^3 + zeta20^5 - 3 zeta20^7)
+# and 1/7 (-2 - zeta14^2 - 2 zeta14^3 + 2 zeta14^4 + zeta14^5), whose first
+# term is printed -2 zeta14 (README, "Known discrepancy")
+ETA_PUBLISHED = {5: CycNum(CycInt(20, [0, 2, 0, 1, 0, 1, 0, -3]), 5, 1),
+                 7: CycNum(CycInt(14, [-2, 0, -1, -2, 2, 1]), 7, 1)}
+
+
 def invariant_by_surgery_bracket(p: int) -> CycNum:
-    """The cover invariant eta^(p+2) <omega>**p at p in {5, 7}."""
-    return eta(p) ** (p + 2) * surgery_bracket(p)
+    """The cover invariant eta^(p+2) <omega>**p at p in {5, 7}, with the published eta."""
+    return ETA_PUBLISHED[p] ** (p + 2) * surgery_bracket(p)
 
 
 def valuation_by_squared_power(p: int) -> int:

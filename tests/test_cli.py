@@ -146,21 +146,22 @@ def test_orbit_check_subcommand(capsys):
     assert record["sequences_per_trial"] == 32
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     # p out of range: the parser exits 2
-    with pytest.raises(SystemExit) as exc:
-        main(["invariant", "--p", "4"])
-    assert exc.value.code == 2
+    for p in ("4", "9", "3"):
+        _, error = argument_error(capsys, "invariant", "--p", p)
+        assert error.endswith(f"argument --p: p must be an odd prime >= 5, got {p}")
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
 
 
 def test_domain_error_exit_code(capsys):
-    code = main(["invariant", "--p", "11"])
+    code = main(["cover", "analyze", "--form", "A25", "--char", "tors:1/125"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "pinned only for p in {5, 7}" in captured.err
+    assert captured.out == ""
+    assert "does not annihilate the order-25 summand" in captured.err
 
 
 def test_malformed_literals_exit_code(capsys):
@@ -287,8 +288,9 @@ def test_prime_above_the_cap_is_refused_promptly():
 def test_valuation_and_hopf_prime_cap(capsys):
     assert main(["valuation", "--p", "103"]) == 1
     assert main(["hopf", "--p", "103", "--n", "1"]) == 1
+    assert main(["invariant", "--p", "103"]) == 1
     err = capsys.readouterr().err
-    assert err.count("above the cap 101") == 2
+    assert err.count("skeincalc: p=103 is above the cap 101 for this command") == 3
     # beyond the exact range of the primality test the argument is refused
     with pytest.raises(SystemExit) as exc:
         main(["valuation", "--p", str(2 ** 89 - 1)])

@@ -5,10 +5,10 @@ import time
 import pytest
 
 from skeincalc import cyclotomic, invariants, skein
-from skeincalc.congruence import cm_bound
+from skeincalc.cli import MAX_P
+from skeincalc.congruence import check_kappa_congruence, cm_bound
 from skeincalc.cyclotomic import (CycInt, CycNum, is_prime, mod_p, ring_modulus, valuation,
                                   zero)
-from skeincalc.errors import UnsupportedPrimeError
 from skeincalc.invariants import (
     AbelianGroup,
     HopfSatellite,
@@ -139,13 +139,24 @@ def test_cover_invariant_p7_value():
 
 
 def test_cover_invariant_unsupported_prime():
-    with pytest.raises(UnsupportedPrimeError):
-        cover_invariant(11)
+    # the Gauss-sum eta at a prime with no published display, raised to
+    # p + 2 against the oracle's own Clenshaw <omega>**p
+    assert cover_invariant(11) == eta(11) ** 13 * surgery_bracket(11)
 
 
 def test_valuation_pathways_agree():
-    for p in (5, 7):
-        assert cover_invariant_valuation(p) == valuation(cover_invariant(p), p)
+    # and the paper's verdicts: the Z5 x Z5 quotient is not congruent, while
+    # from p = 7 on the invariant lies in p O_p, congruent to 0 = kappa^0 * 0
+    for p in range(5, MAX_P + 1, 2):
+        if not is_prime(p):
+            continue
+        value = cover_invariant(p)
+        assert cover_invariant_valuation(p) == valuation(value, p), p
+        verdict = check_kappa_congruence(value, p)
+        if p == 5:
+            assert not verdict.congruent and verdict.witness is None
+        else:
+            assert verdict.congruent and verdict.witness == (0, 0), p
 
 
 def test_valuation_values():
@@ -281,8 +292,7 @@ def test_valuation_closed_form():
     for p in range(5, 102, 2):
         if is_prime(p):
             assert cover_invariant_valuation(p) == (p - 2) * (p - 3) // 2
-    for p in (5, 7):
-        assert cover_invariant(p) * eta(p) ** (p - 2) == 1
+            assert cover_invariant(p) * eta(p) ** (p - 2) == 1, p
 
 
 def test_closed_form_lemmas():

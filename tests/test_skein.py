@@ -1,10 +1,9 @@
+import math
 import random
 
-import pytest
-
 from skeincalc import cyclotomic, skein
-from skeincalc.cyclotomic import CycInt, CycNum, from_int, is_prime, ring_modulus, root
-from skeincalc.errors import UnsupportedPrimeError
+from skeincalc.cli import MAX_P
+from skeincalc.cyclotomic import CycNum, from_int, is_prime, ring_modulus, root
 from skeincalc.skein import (
     A_power,
     SkeinElem,
@@ -22,8 +21,11 @@ from skeincalc.skein import (
     twist,
 )
 
-from oracles import (ZPoly, from_z, hopf_binomial, hopf_by_points, hopf_state_sum, random_skein,
-                     skein_from_json, skein_str, skein_to_json, to_z)
+from oracles import (ETA_PUBLISHED, ZPoly, from_z, hopf_binomial, hopf_by_points, hopf_state_sum,
+                     numeric, random_skein, skein_from_json, skein_str, skein_to_json, to_z)
+
+# every prime the CLI accepts for the invariant
+PRIMES = [p for p in range(5, MAX_P + 1, 2) if is_prime(p)]
 
 
 def e(p, k):
@@ -206,15 +208,19 @@ def test_hopf_bracket_vs_twist_route():
 
 
 def test_eta_exact_values():
-    assert eta(5) == CycNum(CycInt(20, [0, 2, 0, 1, 0, 1, 0, -3]), 5, 1)
-    assert eta(7) == CycNum(CycInt(14, [-2, 0, -1, -2, 2, 1]), 7, 1)
-    with pytest.raises(UnsupportedPrimeError):
-        eta(11)
+    for p, value in ETA_PUBLISHED.items():
+        assert eta(p) == value
+    # at zeta_N = exp(2 pi i / N), A^2 - A^-2 = 2i sin(2 pi / p) and, by Gauss's
+    # sign of the quadratic Gauss sum, G = sqrt(p) or i sqrt(p) as p = 1 or
+    # 3 (mod 4); so eta is real, 2 sin(2 pi / p) / sqrt(p) up to the sign rule
+    for p in PRIMES:
+        want = (-1 if p % 8 == 7 else 1) * 2 * math.sin(2 * math.pi / p) / math.sqrt(p)
+        assert abs(numeric(eta(p)) - want) < 1e-9, p
 
 
 def test_eta_squared_consistency():
-    for p in (5, 7):
-        assert eta(p) ** 2 == eta_squared(p)
+    for p in PRIMES:
+        assert eta(p) ** 2 == eta_squared(p), p
     # the closed form against its defining sum: eta^2 * sum of [k+1]^2 = 1
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         total = from_int(ring_modulus(p), 0)
@@ -225,9 +231,9 @@ def test_eta_squared_consistency():
 
 def test_eta_satisfies_sphere_constraint():
     # +1-surgery on the unknot is a weight-one sphere: eta * <t omega> = kappa
-    for p in (5, 7):
+    for p in PRIMES:
         g = plane_eval(twist(omega(p), 1))
-        assert eta(p) * g == CycNum(kappa(p), p, 0)
+        assert eta(p) * g == CycNum(kappa(p), p, 0), p
 
 
 def test_kappa_values_and_identity():
