@@ -57,16 +57,12 @@ MAX_ORDER_DIGITS = 200
 MAX_ORBIT_WORK = 1_500_000
 
 
-def _nonneg(text: str) -> int:
-    if (n := int(text)) < 0:
-        raise ValueError("value must be >= 0")
-    return n
-
-
-def _positive(text: str) -> int:
-    if (n := int(text)) < 1:
-        raise ValueError("value must be >= 1")
-    return n
+def _at_least(k: int):
+    def parse(text: str) -> int:
+        if (n := int(text)) < k:
+            raise ValueError(f"value must be >= {k}")
+        return n
+    return parse
 
 
 def _prime_arg(min_p: int):
@@ -207,7 +203,7 @@ COMMANDS = {
                   {"--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}")}),
     "hopf": ("hopf", "bracket of n +1-framed Hopf fibers", {
         "--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}"),
-        "--n": (_nonneg, REQUIRED, f"number of fibers, at most {MAX_N}")}),
+        "--n": (_at_least(0), REQUIRED, f"number of fibers, at most {MAX_N}")}),
     "valuation": ("valuation", "(1-zeta_p)-adic valuation of the cover invariant vs bounds",
                   {"--p": (_prime_arg(5), REQUIRED, f"odd prime, at most {MAX_P}")}),
     "homology": ("homology", "cokernel of an integer matrix", {"--matrix": (str, REQUIRED, (
@@ -215,14 +211,14 @@ COMMANDS = {
     "cover analyze": ("cover_analyze", "linking-form cover analysis of a character", {
         "--form": (str, REQUIRED, 'Wall form literal, e.g. "A25+B5[2]"'),
         "--char": (str, REQUIRED, 'character literal, e.g. "free:0;tors:1/5,0"'),
-        "--free-rank": (_nonneg, 0, "rank of the free part"),
-        "--order": (_nonneg, None, "target order k (default: inferred from denominators)"),
+        "--free-rank": (_at_least(0), 0, "rank of the free part"),
+        "--order": (_at_least(0), None, "target order k (default: inferred from denominators)"),
         "--curves": (list, [], 'curve literals, e.g. "free:0;tors:5,0"')}),
     "orbit-check": ("orbit_check", "mod-p orbit-collapse congruence on random ring data", {
         "--p": (_prime_arg(3), REQUIRED, f"odd prime, at most {MAX_P}"),
-        "--colors": (_positive, 2, "number of colors"),
+        "--colors": (_at_least(1), 2, "number of colors"),
         "--seed": (int, 0, "seed of the random ring data"),
-        "--trials": (_positive, 1, "number of trials")}),
+        "--trials": (_at_least(1), 1, "number of trials")}),
 }
 
 

@@ -133,8 +133,9 @@ def check_kappa_congruence_up_to_phase(x, p: int) -> CongruenceVerdict:
 
     Multiplication by the unit kappa permutes the residue list, so every j
     gets the strict verdict, with the witness of j = 0; a failure checks
-    ord(kappa) times the strict candidates.  It is reported separately so
-    a non-canonical phase choice at general p is visible rather than silent.
+    ord(kappa) times the strict candidates.  So its verdict is the strict
+    one: kappa fixes the sign of eta at every prime, and no phase is left
+    to choose.
     """
     verdict = check_kappa_congruence(x, p)
     if not verdict.congruent:

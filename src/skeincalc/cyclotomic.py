@@ -329,16 +329,14 @@ class CycNum:
         return self.num.is_zero
 
     def _coerce(self, other):
-        if isinstance(other, CycNum):
-            # p is the prime of the ring, so one ring means one denominator
-            if other.modulus != self.modulus:
-                raise ModulusMismatchError("operands live in different rings")
-            return other
-        if isinstance(other, CycInt):
-            return CycNum(other, self.p, 0)
         if isinstance(other, int):
             return CycNum(from_int(self.modulus, other), self.p, 0)
-        return None
+        if not isinstance(other, (CycNum, CycInt)):
+            return None
+        # p is the prime of the ring, so one ring means one denominator
+        if other.modulus != self.modulus:
+            raise ModulusMismatchError("operands live in different rings")
+        return other if isinstance(other, CycNum) else CycNum(other, self.p, 0)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -385,7 +383,7 @@ class CycNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, CycInt)):
-            other = self._coerce(other)
+            return self.k == 0 and self.num == other
         if not isinstance(other, CycNum):
             return NotImplemented
         return self.k == other.k and self.num == other.num

@@ -113,16 +113,6 @@ class AbelianGroup:
         self.free_rank = free_rank
         self.torsion = torsion
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self):
-        """Number of elements, or None for infinite."""
-        if self.free_rank:
-            return None
-        return math.prod(self.torsion)
-
     def __eq__(self, other):
         if not isinstance(other, AbelianGroup):
             return NotImplemented

@@ -49,7 +49,7 @@ class WallForm:
             raise ValueError(f"Wall normal form here needs an odd prime, got {p}")
         normalized = []
         for s in summands:
-            t, kind, unit = s if isinstance(s, tuple) else (s.exponent, s.kind, s.unit)
+            t, kind, unit = s
             if t < 1:
                 raise ValueError("summand exponent must be >= 1")
             if kind == "A":
@@ -97,10 +97,6 @@ class TorsionElement:
     def reduced(self, form: WallForm) -> "TorsionElement":
         return TorsionElement(v % form.order(i) for i, v in enumerate(self.values))
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
     def __eq__(self, other):
         if not isinstance(other, TorsionElement):
             return NotImplemented
@@ -138,7 +134,7 @@ class Character:
 
     __slots__ = ("order", "free_values", "torsion_values")
 
-    def __init__(self, order: int, free_values, torsion_values, form: WallForm | None = None) -> None:
+    def __init__(self, order: int, free_values, torsion_values, form: WallForm) -> None:
         if order < 1:
             raise ValueError("target order must be >= 1")
         self.order = order
@@ -153,18 +149,14 @@ class Character:
                     f"value {v} does not lie in Z_{order} inside Q/Z")
             vals.append(v)
         self.torsion_values = tuple(vals)
-        if form is not None:
-            for i, v in enumerate(self.torsion_values):
-                if form.order(i) % v.denominator:
-                    raise CharacterDomainError(
-                        f"value {v} does not annihilate the order-{form.order(i)} summand")
+        for i, v in enumerate(self.torsion_values):
+            if form.order(i) % v.denominator:
+                raise CharacterDomainError(
+                    f"value {v} does not annihilate the order-{form.order(i)} summand")
 
     @property
     def is_zero(self) -> bool:
         return not any(self.free_values) and not any(self.torsion_values)
-
-    def torsion_part_zero(self) -> bool:
-        return not any(self.torsion_values)
 
     def evaluate(self, curve: "CurveClass") -> Fraction:
         """Value in Q/Z on a mixed H_1 class (free coords and torsion coords)."""
@@ -231,7 +223,7 @@ def is_simple(h: Homology1, chi: Character) -> bool:
     True exactly when chi lifts to an integral character, i.e. kills all
     torsion (the Bockstein image vanishes).
     """
-    return chi.torsion_part_zero()
+    return not any(chi.torsion_values)
 
 
 def complement_simple(h: Homology1, chi: Character, curves) -> bool:
@@ -409,9 +401,7 @@ def parse_form(text: str) -> WallForm:
                 raise ValueError(f"mixed primes {p} and {q_p} in one form")
         if kind == "B" and unit is None:
             unit = smallest_nonresidue(p)
-        summands.append((t, kind, unit if unit is not None else 1))
-    if p is None:
-        raise ValueError("empty form literal")
+        summands.append((t, kind, unit))
     return WallForm(p, summands)
 
 

@@ -43,13 +43,11 @@ def A_power(p: int, e: int) -> CycInt:
     return _A_sum(p, [(1, e)])
 
 
-@lru_cache(maxsize=None)
 def delta(p: int) -> CycInt:
     """Loop value of the bracket: one unknot contributes -A^2 - A^(-2)."""
     return _A_sum(p, [(-1, 2), (-1, -2)])
 
 
-@lru_cache(maxsize=None)
 def quantum_int(p: int, k: int) -> CycInt:
     """[k] = (A^2k - A^-2k) / (A^2 - A^-2) = sum over i < k of A^(2(k-1-2i))."""
     if k < 1:
@@ -59,17 +57,13 @@ def quantum_int(p: int, k: int) -> CycInt:
 
 def _as_cycnum(p: int, value) -> CycNum:
     N = ring_modulus(p)
-    if isinstance(value, CycNum):
-        if value.modulus != N:
-            raise ModulusMismatchError(f"coefficient does not live in the ring for p={p}")
-        return value
-    if isinstance(value, CycInt):
-        if value.modulus != N:
-            raise ModulusMismatchError(f"coefficient does not live in the ring for p={p}")
-        return CycNum(value, p, 0)
     if isinstance(value, int):
-        return CycNum(from_int(N, value), p, 0)
-    raise TypeError(f"cannot use {type(value).__name__} as a skein coefficient")
+        value = from_int(N, value)
+    if not isinstance(value, (CycNum, CycInt)):
+        raise TypeError(f"cannot use {type(value).__name__} as a skein coefficient")
+    if value.modulus != N:
+        raise ModulusMismatchError(f"coefficient does not live in the ring for p={p}")
+    return value if isinstance(value, CycNum) else CycNum(value, p, 0)
 
 
 class SkeinElem:
@@ -181,14 +175,15 @@ def hopf_weights(p: int) -> tuple[CycNum, ...]:
     L(f) = plane_eval(twist(f, 1)).  A -1-framed omega around the strands
     of f applies one positive full twist to them and scales by
     plane_eval(twist(omega, -1)), whose inverse is
-    eta^2 * plane_eval(twist(omega, 1)).  Writing twist(omega, -1) in the
-    e-basis, its e_(j-1) coefficient is [j] A^(1-j^2), and f encircling e_(j-1)
-    evaluates to f(z_j) (-1)^(j-1) [j] with z_j = -(A^2j + A^-2j).  So
-    w_j = eta^2 plane_eval(twist(omega, 1)) (-1)^(j-1) A^(1-j^2) [j]^2.
-    As [j]^2 = sum over |u| < j of (j - |u|) A^(4u) and -1 = A^p, all but
-    the first factor is one sum of powers of A.
+    eta^2 * plane_eval(twist(omega, 1)) = eta * kappa, as
+    eta * plane_eval(twist(omega, 1)) = kappa.  Writing twist(omega, -1) in
+    the e-basis, its e_(j-1) coefficient is [j] A^(1-j^2), and f encircling
+    e_(j-1) evaluates to f(z_j) (-1)^(j-1) [j] with z_j = -(A^2j + A^-2j).
+    So w_j = eta kappa (-1)^(j-1) A^(1-j^2) [j]^2.  As
+    [j]^2 = sum over |u| < j of (j - |u|) A^(4u) and -1 = A^p, all but the
+    scale eta kappa is one sum of powers of A.
     """
-    scale = eta_squared(p) * plane_eval(twist(omega(p), 1))
+    scale = eta(p) * kappa(p)
     return tuple(scale * _A_sum(p, [(j - abs(u), (j - 1) * p + 1 - j * j + 4 * u)
                                     for u in range(1 - j, j)])
                  for j in range(1, (p - 1) // 2 + 1))

@@ -126,6 +126,10 @@ def test_modulus_mismatch():
         root(20, 1) + root(14, 1)
     with pytest.raises(ModulusMismatchError):
         root(20, 1) * root(14, 1)
+    # a CycNum meeting another prime's ring element: unequal, and no sum
+    assert (CycNum(one(20), 5, 1) == one(14)) is False
+    with pytest.raises(ModulusMismatchError):
+        CycNum(one(20), 5, 1) + one(14)
     # only N = p, 2p or 4p with p an odd prime is a ring here
     for bad in (0, -20, 1, 2, 8, 9, 18, 24, 30, 36):
         with pytest.raises(ValueError, match="needs N = p, 2p or 4p"):

@@ -74,7 +74,7 @@ def test_pair_symmetric_bilinear_nonsingular_exhaustive():
             for y in elements:
                 v = pair(form, x, y)
                 assert v == pair(form, y, x)
-            if not x.is_zero:
+            if any(x.values):
                 assert any(pair(form, x, y) != 0 for y in elements), \
                     f"{form} is singular at {x}"
         # bilinearity spot-check on the generators
@@ -411,7 +411,7 @@ def test_character_validation():
     with pytest.raises(CharacterDomainError):
         Character(5, [], [Fraction(1, 25)], form)  # does not annihilate Z_5
     with pytest.raises(CharacterDomainError):
-        Character(5, [], [Fraction(1, 3)])  # not in Z_5 inside Q/Z
+        Character(5, [], [Fraction(1, 3)], form)  # not in Z_5 inside Q/Z
 
 
 def test_smallest_nonresidue():
@@ -427,6 +427,7 @@ def test_parse_and_format_round_trip():
     assert [s.exponent for s in form.summands] == [2, 1, 1]
     assert [s.kind for s in form.summands] == ["A", "A", "B"]
     assert format_form(form) == "A25+A5+B5[2]"
+    assert WallForm(form.p, form.summands) == form  # from WallSummand instances
     # default unit is the smallest non-residue
     assert parse_form("B7").summands[0].unit == 3
     # orders far past the primality test's range, as long as p is inside it
@@ -453,7 +454,7 @@ def test_parse_errors():
         parse_form(f"A{2 ** 89 - 1}")  # a prime beyond the exact primality test
     with pytest.raises(ValueError):
         parse_form("A25+B49")  # mixed primes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty summand in form literal$"):
         parse_form("")
     form = parse_form("A25")
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import math
 import random
 
+import pytest
+
 from skeincalc import cyclotomic, skein
 from skeincalc.cli import MAX_P
 from skeincalc.cyclotomic import CycNum, from_int, is_prime, ring_modulus, root
+from skeincalc.errors import ModulusMismatchError
 from skeincalc.skein import (
     A_power,
     SkeinElem,
@@ -65,6 +68,16 @@ def test_chebyshev_recursion_and_degrees():
                 zj = -(A_power(p, 2 * j) + A_power(p, -2 * j))
                 assert point_eval(e(p, k), j) == \
                     point_eval(e(p, k - 1), j) * zj - point_eval(e(p, k - 2), j)
+
+
+def test_coefficient_errors():
+    # a coefficient of another prime's ring, or of another ring at p, is a
+    # mismatch; a non-ring value is a type error
+    for other in (root(14, 1), root(10, 1)):
+        with pytest.raises(ModulusMismatchError):
+            SkeinElem(5, [other])
+    with pytest.raises(TypeError):
+        SkeinElem(5, [0.5])
 
 
 def test_plane_eval_examples():
